@@ -46,7 +46,6 @@ func main() {
 	flushThreshold := flag.Int("flush-threshold", 256, "pending mutations per shard before an inline batch apply")
 	queryTimeout := flag.Duration("query-timeout", 30*time.Second, "per-request deadline for /diversify solves (0 = unlimited); expired queries answer 504. Queries solve lock-free on pinned corpus epochs, so a slow query only ever costs itself — the deadline is worker hygiene, not a liveness guard")
 	backend := flag.String("backend", "", "corpus distance backend: f64 (exact, the default), f32 (half the resident bytes), vec-f32 or vec-int8 (compute-on-demand from vectors, O(n·d) resident)")
-	float32Backend := flag.Bool("float32", false, "shorthand for -backend f32")
 	batch := flag.Int("batch", 0, "max concurrent full-scope queries one batched solve may serve: identical (and, for the greedy family, prefix- and λ-compatible) queries pinning the same epoch share one candidate scan (0 = default 16, 1 disables coalescing)")
 	rowCache := flag.Int("row-cache", 0, "distance rows the vec-f32/vec-int8 backends cache per corpus store and epoch, ≈ rows·items·4 bytes each (0 = default 64); ignored by f64/f32. Hit/miss counters appear in /stats")
 	maxEpochsLive := flag.Int("max-epochs-live", 0, "shed mutations with 429 once more than this many published epochs are still pinned by in-flight queries (0 = default 64, negative disables)")
@@ -68,7 +67,6 @@ func main() {
 		FlushThreshold: *flushThreshold,
 		QueryTimeout:   *queryTimeout,
 		Backend:        kind,
-		Float32:        *float32Backend,
 		Batch:          *batch,
 		MaxEpochsLive:  *maxEpochsLive,
 		RowCache:       *rowCache,

@@ -139,9 +139,8 @@ func dotKernelSpec(name string, quick, int8Kernel bool) Spec {
 
 // multiLambdaThroughputSpec is the multi-λ gang's throughput probe: each
 // round releases `fanout` goroutines from a barrier into full-scope greedy
-// queries that differ ONLY in λ — the workload the λ-keyed dispatcher of the
-// plain path always ran solo. On the batched server the greedy family's gang
-// folds the λs into shared scan rounds; the solo server (Batch 1) solves
+// queries that differ ONLY in λ. On the batched server the greedy family's
+// gang folds the λs into shared scan rounds; the solo server (Batch 1) solves
 // every λ separately. The hard check is the coalescing itself: the batched
 // server must report queries_coalesced > 0 after the storm — with a fanout
 // this wide some members always land in a gathering generation. The

@@ -128,9 +128,8 @@ func Suite(opts Options) []Spec {
 		batchedThroughputSpec("server/batched_query_throughput", true, 2048, 16),
 
 		// The multi-λ gang's claim: concurrent greedy queries differing only
-		// in λ — which the plain λ-keyed dispatcher always ran solo — must
-		// coalesce (queries_coalesced > 0 is a hard failure otherwise);
-		// the solo-vs-batched speedup lands in Extra.
+		// in λ must coalesce into one fused solve (queries_coalesced > 0 is a
+		// hard failure otherwise); the solo-vs-batched speedup lands in Extra.
 		multiLambdaThroughputSpec("server/multi_lambda_batch_throughput", true, 2048, 16),
 
 		// The incremental-compaction claim: per-flush compaction work under a
@@ -482,7 +481,7 @@ func loadServerItems(post func(string, []byte) error, items []maxsumdiv.Item) er
 // maxBytesPerItem > 0 turns the figure into a hard bound: exceeding it
 // fails the probe outright — the fence vector-native backends use to prove
 // their residency carries no n term.
-func corpusBytesSpec(name string, quick bool, backend server.Backend, n int, maxBytesPerItem float64) Spec {
+func corpusBytesSpec(name string, quick bool, backend server.BackendKind, n int, maxBytesPerItem float64) Spec {
 	return Spec{Name: name, Quick: quick, Run: func() (Result, error) {
 		srv, err := server.New(server.Config{Shards: 4, Lambda: 0.5, Parallelism: 1, Backend: backend})
 		if err != nil {

@@ -104,13 +104,6 @@ func Exact(obj *Objective, p int, opts *ExactOptions) (*Solution, error) {
 					e.stopped = true
 					return
 				}
-				mu.Lock()
-				if globalBest != nil {
-					// Seed this worker's incumbent with the global one so
-					// pruning stays sharp.
-					e.bestVal, e.hasBest = globalBest.Value, true
-				}
-				mu.Unlock()
 				e.st.Reset()
 				e.st.Add(first)
 				e.searchFrom(first + 1)

@@ -71,6 +71,38 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestExactParallelMatchesSerial runs the parallel fan-out on many small
+// instances, where workers drain the first-element queue within microseconds
+// of each other, and requires the serial optimum every time. A worker's
+// incumbent may only ever rise: seeding it from another worker's (possibly
+// lower) published best would let a worse set replace the better one it
+// already holds.
+func TestExactParallelMatchesSerial(t *testing.T) {
+	trials := 50000
+	if testing.Short() {
+		trials = 2000
+	}
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < trials; trial++ {
+		n := 4 + rng.Intn(5)
+		p := 2 + rng.Intn(n-2)
+		obj := randInstance(t, n, rng.Float64(), rng)
+		want, err := Exact(obj, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := 2 + trial%6
+		got, err := Exact(obj, p, &ExactOptions{Parallel: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got.Value-want.Value) > 1e-9 {
+			t.Fatalf("trial %d (n=%d p=%d workers=%d): parallel Exact = %g %v, serial = %g %v",
+				trial, n, p, workers, got.Value, got.Members, want.Value, want.Members)
+		}
+	}
+}
+
 func TestExactEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	obj := randInstance(t, 5, 0.2, rng)

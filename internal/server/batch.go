@@ -17,50 +17,24 @@ import (
 // while result fan-out latency grows.
 const defaultBatch = 16
 
-// batchKey identifies solves that can share work on the plain (single-λ)
-// path: same pinned epoch, same algorithm, same λ. For prefix-nested
-// algorithms (core.PrefixNested) one entry serves every cardinality — the
-// trace's k-prefix answers each joiner — so k stays zero in the key; all
-// other algorithms only coalesce exact duplicates, so k participates.
-// Multi-λ-capable algorithms (core.MultiLambdaCapable) do not use this key
-// at all: they dispatch through the gang path below, which drops λ from the
-// key entirely.
-type batchKey struct {
-	seq    uint64
-	algo   core.Algo
-	lambda float64
-	k      int
-}
-
-// batchCall is one in-flight leader solve plus everyone waiting on it.
-// trace/sol/err are written by the leader before done closes and read by
-// joiners only after; the channel orders the accesses.
-type batchCall struct {
-	done    chan struct{}
-	waiters int // queries this call will answer, leader included
-	k       int // cardinality the leader solves to; prefix joiners need ≤ this
-	trace   *core.GreedyTrace
-	sol     *core.Solution
-	err     error
-}
-
-// errJoinRetry tells solveFull that the solve this query joined died of the
-// *leader's* context while this query's own context is still live — the
-// query should fall back to a solo solve rather than fail.
+// errJoinRetry tells solveFull to fall back to a solo solve rather than fail:
+// the solve this query joined died of the *leader's* context while this
+// query's own context is still live, or both generations of its key are
+// full.
 var errJoinRetry = errors.New("server: batch: leader cancelled, retry solo")
 
-// dispatcher coalesces in-flight full-scope queries that pin the same epoch:
-// the first query for a key runs the solve (the leader), queries arriving
-// while it runs join and wait, and every member materializes its answer from
-// the one result. One AccumulateRow pass per candidate scan thus feeds every
-// coalesced query's accumulator instead of each query redoing an identical
-// O(n·k) scan. Epochs are immutable and the solvers deterministic, so a
-// joined answer is byte-identical to the solo one — pinned by
-// TestServerBatchedQueriesMatchSolo.
+// dispatcher coalesces in-flight full-scope queries that pin the same epoch
+// into gangs: the first query for a key runs the solve (the leader), queries
+// arriving while it runs either join it (when its frozen targets cover them)
+// or gather into the next generation, and every member materializes its
+// answer from the one result. One AccumulateRow pass per candidate scan thus
+// feeds every coalesced query's accumulator instead of each query redoing an
+// identical O(n·k) scan. A lone query is a gang of one. Epochs are immutable
+// and the solvers deterministic, so a coalesced answer is byte-identical to
+// the solo one — pinned by TestServerBatchedQueriesMatchSolo.
 type dispatcher struct {
 	limit int // max queries per batched solve; ≤ 1 disables coalescing
 	mu    sync.Mutex
-	calls map[batchKey]*batchCall
 	gangs map[gangKey]*gang
 
 	coalesced atomic.Uint64 // queries answered by joining another query's solve
@@ -68,97 +42,72 @@ type dispatcher struct {
 }
 
 func newDispatcher(limit int) *dispatcher {
-	return &dispatcher{
-		limit: limit,
-		calls: make(map[batchKey]*batchCall),
-		gangs: make(map[gangKey]*gang),
-	}
+	return &dispatcher{limit: limit, gangs: make(map[gangKey]*gang)}
 }
 
 // enabled reports whether the dispatcher coalesces at all.
 func (d *dispatcher) enabled() bool { return d.limit > 1 }
-
-// solve answers one query: join a compatible in-flight call when one exists,
-// otherwise lead a new one by running run (which must return either a prefix
-// trace or a plain solution). prefix marks the key as prefix-nested — a
-// joiner then only needs k ≤ the leader's k. A joiner whose own ctx expires
-// returns that error; a joiner whose leader failed with the leader's
-// cancellation returns errJoinRetry so the caller can solve solo.
-func (d *dispatcher) solve(ctx context.Context, key batchKey, k int, prefix bool,
-	run func(k int) (*core.GreedyTrace, *core.Solution, error),
-) (*core.GreedyTrace, *core.Solution, error) {
-	d.mu.Lock()
-	if call, ok := d.calls[key]; ok && call.waiters < d.limit && (!prefix || k <= call.k) {
-		call.waiters++
-		d.mu.Unlock()
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		if call.err != nil {
-			if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, err
-				}
-				return nil, nil, errJoinRetry
-			}
-			return nil, nil, call.err
-		}
-		d.coalesced.Add(1)
-		return call.trace, call.sol, nil
-	}
-	// Lead. This may shadow a still-running call that was full or solved to a
-	// smaller k: both keep running, later arrivals join the new entry, and
-	// each leader only deletes its own entry on completion.
-	call := &batchCall{done: make(chan struct{}), waiters: 1, k: k}
-	d.calls[key] = call
-	d.mu.Unlock()
-	call.trace, call.sol, call.err = run(k)
-	d.mu.Lock()
-	if d.calls[key] == call {
-		delete(d.calls, key)
-	}
-	d.mu.Unlock()
-	close(call.done)
-	d.solo.Add(1)
-	return call.trace, call.sol, call.err
-}
 
 // counters returns (coalesced, solo) query counts for /stats.
 func (d *dispatcher) counters() (uint64, uint64) {
 	return d.coalesced.Load(), d.solo.Load()
 }
 
-// ---------------------------------------------------------------------------
-// Multi-λ gang dispatch
-// ---------------------------------------------------------------------------
-
-// gangKey identifies solves that one multi-λ fused solve can answer: same
-// pinned epoch, same algorithm. λ and k are deliberately absent from the key
-// — for the single-pick greedy family, core.SolveMultiTrace answers every
-// (λ, k) member from shared scan rounds, paying one d_u(S) row fold per
-// shared pick instead of one per λ.
+// gangKey identifies solves that one run can answer: same pinned epoch, same
+// algorithm, and — only where the algorithm needs them — same λ and k. λ
+// stays zero for the single-pick greedy family (core.MultiLambdaCapable):
+// core.SolveMultiTrace answers every (λ, k) member from shared scan rounds,
+// paying one d_u(S) row fold per shared pick instead of one per λ. k stays
+// zero for prefix-nested runs (core.PrefixNested): one trace's k-prefix
+// answers every smaller k. Every other algorithm coalesces only exact
+// duplicates. Build keys with keyFor.
 type gangKey struct {
-	seq  uint64
-	algo core.Algo
+	seq    uint64
+	algo   core.Algo
+	lambda float64
+	k      int
 }
 
+// keyFor returns the gang key of a (λ, k) query for algo on epoch seq.
+func keyFor(seq uint64, algo core.Algo, lambda float64, k int) gangKey {
+	key := gangKey{seq: seq, algo: algo, lambda: lambda, k: k}
+	if core.MultiLambdaCapable(algo) {
+		key.lambda = 0
+	}
+	if core.PrefixNested(algo, k) {
+		key.k = 0
+	}
+	return key
+}
+
+// answer is one λ's result of a dispatched solve; each member reads its own
+// k from it. A *core.GreedyTrace answers every k up to its length by prefix;
+// a fixedSolution answers the one k of a non-nested key.
+type answer interface {
+	Solution(k int) *core.Solution
+}
+
+// fixedSolution is the answer of a solver that does not nest by prefix:
+// every member of its key asked for the same k.
+type fixedSolution struct{ sol *core.Solution }
+
+func (f fixedSolution) Solution(int) *core.Solution { return f.sol }
+
 // multiCall is one generation of a gang: the (λ → max k) targets it will
-// answer, everyone riding it, and the per-λ traces once run. Lifecycle:
+// answer, everyone riding it, and the per-λ answers once run. Lifecycle:
 // members gather (kmax still mutable) until the call is promoted to run —
 // immediately for the first arrival on an idle key, otherwise when the
 // previous generation finishes — then the first gathered member to wake
-// claims leadership, freezes kmax, and runs the fused solve with its own
-// context and pinned epoch. traces/err are written before done closes and
-// read only after; the channel orders the accesses.
+// claims leadership, freezes kmax, and runs the solve with its own context
+// and pinned epoch. answers/err are written before done closes and read only
+// after; the channel orders the accesses.
 type multiCall struct {
-	done     chan struct{} // closed after traces/err are written
+	done     chan struct{} // closed after answers/err are written
 	promoted chan struct{} // closed when the call may run (leadership claimable)
 	waiters  int           // queries this call will answer, leader included
 	kmax     map[float64]int
 	claimed  bool // a member claimed leadership; kmax is frozen
-	traces   map[float64]*core.GreedyTrace
+	answers  map[float64]answer
 	err      error
 }
 
@@ -179,16 +128,18 @@ type gang struct {
 	next    *multiCall
 }
 
-// solveMulti answers one (λ, k) query of a multi-λ-capable algorithm: join
-// the running fused solve when it covers the target, otherwise gather into
-// the next generation and either claim its leadership when promoted or ride
-// the member that did. run receives the frozen targets and must return one
-// trace per λ; the caller's k is answered by its λ-trace's prefix. Returns
-// errJoinRetry when the joined leader died of its own cancellation (caller
-// still live → solve solo) or when both generations are full.
-func (d *dispatcher) solveMulti(ctx context.Context, key gangKey, lambda float64, k int,
-	run func(targets []core.LambdaTarget) (map[float64]*core.GreedyTrace, error),
-) (*core.GreedyTrace, error) {
+// runFunc runs one gang's solve over its frozen targets (λ-sorted, one per
+// distinct λ at its max k) and returns one answer per λ. Only keys of the
+// single-pick greedy family carry more than one target.
+type runFunc func(targets []core.LambdaTarget) (map[float64]answer, error)
+
+// dispatch answers one (λ, k) query: join the running solve when it covers
+// the target, otherwise gather into the next generation and either claim its
+// leadership when promoted or ride the member that did. The caller reads its
+// k from the returned answer. Returns errJoinRetry when the joined leader
+// died of its own cancellation (caller still live → solve solo) or when both
+// generations are full.
+func (d *dispatcher) dispatch(ctx context.Context, key gangKey, lambda float64, k int, run runFunc) (answer, error) {
 	d.mu.Lock()
 	g := d.gangs[key]
 	if g == nil {
@@ -196,7 +147,7 @@ func (d *dispatcher) solveMulti(ctx context.Context, key gangKey, lambda float64
 		d.gangs[key] = g
 	}
 	if g.running == nil {
-		// Idle key: lead immediately, exactly like the plain dispatcher.
+		// Idle key: lead immediately.
 		call := newMultiCall()
 		call.claimed = true
 		close(call.promoted)
@@ -269,13 +220,12 @@ func (d *dispatcher) solveMulti(ctx context.Context, key gangKey, lambda float64
 	return d.joinGang(ctx, call, lambda)
 }
 
-// runGang runs the fused solve as call's leader, publishes the result, and
+// runGang runs the solve as call's leader, publishes the result, and
 // promotes the next generation.
 func (d *dispatcher) runGang(key gangKey, g *gang, call *multiCall, lambda float64,
-	targets []core.LambdaTarget,
-	run func(targets []core.LambdaTarget) (map[float64]*core.GreedyTrace, error),
-) (*core.GreedyTrace, error) {
-	call.traces, call.err = run(targets)
+	targets []core.LambdaTarget, run runFunc,
+) (answer, error) {
+	call.answers, call.err = run(targets)
 	d.mu.Lock()
 	if g.running == call {
 		d.promoteLocked(key, g)
@@ -286,7 +236,7 @@ func (d *dispatcher) runGang(key gangKey, g *gang, call *multiCall, lambda float
 	if call.err != nil {
 		return nil, call.err
 	}
-	return call.traces[lambda], nil
+	return call.answers[lambda], nil
 }
 
 // promoteLocked retires the running call: the gathered next generation (if
@@ -300,11 +250,10 @@ func (d *dispatcher) promoteLocked(key gangKey, g *gang) {
 	}
 }
 
-// joinGang waits for call's leader and materializes this member's answer,
-// with the same cancellation semantics as the plain dispatcher's join: the
-// member's own cancellation wins, and a leader that died of *its* context
-// turns into errJoinRetry so the member can solve solo.
-func (d *dispatcher) joinGang(ctx context.Context, call *multiCall, lambda float64) (*core.GreedyTrace, error) {
+// joinGang waits for call's leader and materializes this member's answer:
+// the member's own cancellation wins, and a leader that died of *its*
+// context turns into errJoinRetry so the member can solve solo.
+func (d *dispatcher) joinGang(ctx context.Context, call *multiCall, lambda float64) (answer, error) {
 	select {
 	case <-call.done:
 	case <-ctx.Done():
@@ -320,5 +269,5 @@ func (d *dispatcher) joinGang(ctx context.Context, call *multiCall, lambda float
 		return nil, call.err
 	}
 	d.coalesced.Add(1)
-	return call.traces[lambda], nil
+	return call.answers[lambda], nil
 }

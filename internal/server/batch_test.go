@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,123 +15,135 @@ import (
 	"maxsumdiv/internal/core"
 )
 
-// TestDispatcherCoalesces drives the dispatcher deterministically with a
-// blocking run closure: a leader enters, a compatible query joins while the
-// leader is mid-solve, and both come back with the leader's result. The
-// channel choreography removes the timing luck an end-to-end test would need.
-func TestDispatcherCoalesces(t *testing.T) {
+// TestDispatcherNonMultiLambdaKeys drives the dispatcher deterministically
+// with blocking run closures on keys outside the multi-λ greedy family.
+// Those keys carry λ, so every run sees one target. A greedy-improved k=3
+// query joins a running k=10 call (its trace's prefix answers k=3); a k=20
+// query the running trace cannot answer gathers into the next generation
+// and runs only after the leader finishes. A localsearch query joins only an
+// identical (λ, k); a different k or λ is a key of its own and runs at once.
+func TestDispatcherNonMultiLambdaKeys(t *testing.T) {
+	const seq = 1
+	gi := func(lambda float64, k int) gangKey { return keyFor(seq, core.AlgoGreedyImproved, lambda, k) }
+	ls := func(lambda float64, k int) gangKey { return keyFor(seq, core.AlgoLocalSearch, lambda, k) }
+	if gi(0.5, 1) == gi(0.5, 2) {
+		t.Fatal("greedy-improved k=1 shares a key with k=2, but its best-pair opening only nests from k=2")
+	}
+	if gi(0.5, 2) != gi(0.5, 20) || gi(0.5, 2) == gi(0.9, 2) {
+		t.Fatal("greedy-improved k≥2 keys must differ by λ only")
+	}
+	if keyFor(seq, core.AlgoGreedy, 0.5, 3) != keyFor(seq, core.AlgoGreedy, 0.9, 7) {
+		t.Fatal("greedy keys differ by λ or k, want one gang per epoch")
+	}
+
 	d := newDispatcher(8)
-	if !d.enabled() {
-		t.Fatal("limit 8 dispatcher reports disabled")
+	var runMu sync.Mutex
+	var runs []core.LambdaTarget // every target a run received, in run order
+	ranTargets := func() []core.LambdaTarget {
+		runMu.Lock()
+		defer runMu.Unlock()
+		return append([]core.LambdaTarget(nil), runs...)
 	}
-	key := batchKey{seq: 1, algo: core.AlgoGreedy, lambda: 0.5}
-	leaderIn := make(chan struct{})  // closed when the leader is inside run
-	leaderOut := make(chan struct{}) // leader's run blocks until this closes
-	want := &core.GreedyTrace{}
-
-	type outcome struct {
-		trace *core.GreedyTrace
-		err   error
-	}
-	leaderDone := make(chan outcome, 1)
-	go func() {
-		tr, _, err := d.solve(context.Background(), key, 10, true,
-			func(k int) (*core.GreedyTrace, *core.Solution, error) {
-				close(leaderIn)
-				<-leaderOut
-				return want, nil, nil
-			})
-		leaderDone <- outcome{tr, err}
-	}()
-	<-leaderIn
-
-	// A smaller-k prefix query joins; its run closure must never execute.
-	joinerDone := make(chan outcome, 1)
-	go func() {
-		tr, _, err := d.solve(context.Background(), key, 3, true,
-			func(k int) (*core.GreedyTrace, *core.Solution, error) {
-				t.Error("joiner ran its own solve")
-				return nil, nil, nil
-			})
-		joinerDone <- outcome{tr, err}
-	}()
-	// Wait until the joiner is registered on the call before releasing the
-	// leader, so the join is guaranteed rather than racy.
-	for {
-		d.mu.Lock()
-		call := d.calls[key]
-		waiting := call != nil && call.waiters == 2
-		d.mu.Unlock()
-		if waiting {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// A larger-k prefix query cannot be answered by the k=10 trace: it must
-	// lead its own call (shadowing the running one) and run immediately.
-	bigRan := false
-	bigTrace := &core.GreedyTrace{}
-	tr, _, err := d.solve(context.Background(), key, 20, true,
-		func(k int) (*core.GreedyTrace, *core.Solution, error) {
-			bigRan = true
-			return bigTrace, nil, nil
-		})
-	if err != nil || !bigRan || tr != bigTrace {
-		t.Fatalf("k=20 query did not lead its own solve (ran=%v trace=%p err=%v)", bigRan, tr, err)
-	}
-
-	close(leaderOut)
-	for _, got := range []outcome{<-leaderDone, <-joinerDone} {
-		if got.err != nil || got.trace != want {
-			t.Fatalf("member got (%p, %v), want the leader's trace %p", got.trace, got.err, want)
+	// run answers its one target with ans; with non-nil in/out it signals
+	// entry on in and blocks until out closes.
+	run := func(ans answer, in, out chan struct{}) runFunc {
+		return func(ts []core.LambdaTarget) (map[float64]answer, error) {
+			if len(ts) != 1 {
+				t.Errorf("non-multi-λ key ran %d targets %v, want 1", len(ts), ts)
+			}
+			runMu.Lock()
+			runs = append(runs, ts...)
+			runMu.Unlock()
+			if in != nil {
+				close(in)
+				<-out
+			}
+			return map[float64]answer{ts[0].Lambda: ans}, nil
 		}
 	}
-	if co, solo := d.counters(); co != 1 || solo != 2 {
-		t.Fatalf("counters (coalesced=%d, solo=%d), want (1, 2)", co, solo)
+	neverRun := func([]core.LambdaTarget) (map[float64]answer, error) {
+		t.Error("joiner ran its own solve")
+		return nil, nil
 	}
-}
-
-// TestDispatcherJoinRetryOnLeaderCancel pins the fallback contract: when the
-// solve a query joined dies of the *leader's* context, a joiner whose own
-// context is still live gets errJoinRetry (so solveFull re-solves solo)
-// rather than inheriting a cancellation that isn't its own.
-func TestDispatcherJoinRetryOnLeaderCancel(t *testing.T) {
-	d := newDispatcher(4)
-	key := batchKey{seq: 2, algo: core.AlgoGreedy, lambda: 0.5}
-	leaderIn := make(chan struct{})
-	leaderOut := make(chan struct{})
-	go func() {
-		d.solve(context.Background(), key, 5, true,
-			func(k int) (*core.GreedyTrace, *core.Solution, error) {
-				close(leaderIn)
-				<-leaderOut
-				return nil, nil, context.Canceled
-			})
-	}()
-	<-leaderIn
-	joinErr := make(chan error, 1)
-	go func() {
-		_, _, err := d.solve(context.Background(), key, 5, true,
-			func(k int) (*core.GreedyTrace, *core.Solution, error) {
-				t.Error("joiner ran its own solve")
-				return nil, nil, nil
-			})
-		joinErr <- err
-	}()
-	for {
-		d.mu.Lock()
-		call := d.calls[key]
-		waiting := call != nil && call.waiters == 2
-		d.mu.Unlock()
-		if waiting {
-			break
+	ask := func(key gangKey, lambda float64, k int, r runFunc) chan gangOutcome {
+		ch := make(chan gangOutcome, 1)
+		go func() {
+			a, err := d.dispatch(context.Background(), key, lambda, k, r)
+			ch <- gangOutcome{a, err}
+		}()
+		return ch
+	}
+	waitGang := func(key gangKey, cond func(g *gang) bool) {
+		for {
+			d.mu.Lock()
+			g := d.gangs[key]
+			ok := g != nil && cond(g)
+			d.mu.Unlock()
+			if ok {
+				return
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	close(leaderOut)
-	if err := <-joinErr; err != errJoinRetry {
-		t.Fatalf("joiner error %v, want errJoinRetry", err)
+
+	// greedy-improved: a k=10 leader holds the key.
+	tr10, tr20 := &core.GreedyTrace{}, &core.GreedyTrace{}
+	giIn, giOut := make(chan struct{}), make(chan struct{})
+	giLeader := ask(gi(0.5, 10), 0.5, 10, run(tr10, giIn, giOut))
+	<-giIn
+	giSmall := ask(gi(0.5, 3), 0.5, 3, neverRun)
+	waitGang(gi(0.5, 10), func(g *gang) bool { return g.running.waiters == 2 })
+	giBig := ask(gi(0.5, 20), 0.5, 20, run(tr20, nil, nil))
+	waitGang(gi(0.5, 10), func(g *gang) bool { return g.next != nil && g.next.waiters == 1 })
+
+	// localsearch: a (0.5, 5) leader holds its key; only the identical
+	// query joins it.
+	sol5, other := fixedSolution{&core.Solution{}}, fixedSolution{&core.Solution{}}
+	lsIn, lsOut := make(chan struct{}), make(chan struct{})
+	lsLeader := ask(ls(0.5, 5), 0.5, 5, run(sol5, lsIn, lsOut))
+	<-lsIn
+	lsSame := ask(ls(0.5, 5), 0.5, 5, neverRun)
+	waitGang(ls(0.5, 5), func(g *gang) bool { return g.running.waiters == 2 })
+	for _, q := range []core.LambdaTarget{{Lambda: 0.5, K: 4}, {Lambda: 0.9, K: 5}} {
+		got, err := d.dispatch(context.Background(), ls(q.Lambda, q.K), q.Lambda, q.K, run(other, nil, nil))
+		if err != nil || got != other {
+			t.Fatalf("localsearch %v beside a blocked (0.5, 5) leader got (%v, %v), want its own solve", q, got, err)
+		}
+	}
+
+	// Both leaders are still blocked: the k=20 query has not run.
+	wantBefore := []core.LambdaTarget{{Lambda: 0.5, K: 10}, {Lambda: 0.5, K: 5}, {Lambda: 0.5, K: 4}, {Lambda: 0.9, K: 5}}
+	if got := ranTargets(); !slices.Equal(got, wantBefore) {
+		t.Fatalf("runs before release %v, want %v", got, wantBefore)
+	}
+	close(giOut)
+	close(lsOut)
+	for _, c := range []struct {
+		name string
+		ch   chan gangOutcome
+		want answer
+	}{
+		{"greedy-improved k=10 leader", giLeader, tr10},
+		{"greedy-improved k=3 joiner", giSmall, tr10},
+		{"greedy-improved k=20 next generation", giBig, tr20},
+		{"localsearch leader", lsLeader, sol5},
+		{"localsearch identical joiner", lsSame, sol5},
+	} {
+		if got := <-c.ch; got.err != nil || got.ans != c.want {
+			t.Fatalf("%s got (%v, %v), want %v", c.name, got.ans, got.err, c.want)
+		}
+	}
+	if got, want := ranTargets(), append(wantBefore, core.LambdaTarget{Lambda: 0.5, K: 20}); !slices.Equal(got, want) {
+		t.Fatalf("runs %v, want %v", got, want)
+	}
+	if co, solo := d.counters(); co != 2 || solo != 5 {
+		t.Fatalf("counters (coalesced=%d, solo=%d), want (2, 5)", co, solo)
+	}
+	d.mu.Lock()
+	idle := len(d.gangs) == 0
+	d.mu.Unlock()
+	if !idle {
+		t.Fatal("gang map not cleaned up after every call finished")
 	}
 }
 
@@ -138,10 +151,11 @@ func TestDispatcherJoinRetryOnLeaderCancel(t *testing.T) {
 // layer: a storm of concurrent queries against a Batch=8 server returns
 // exactly the answers a Batch=1 (coalescing disabled) server gives for the
 // same corpus — same member IDs, same objective values — across the
-// prefix-nested algorithms, a spread of cardinalities, AND a spread of λ
-// overrides (the greedy family coalesces across λ through the multi-λ gang;
-// every other algorithm runs per-λ). Run under -race this also exercises
-// both dispatcher paths for data races.
+// prefix-nested algorithms, a spread of cardinalities (including
+// greedy-improved's k=1 / k=2 nesting boundary), the non-nested solvers, AND
+// a spread of λ overrides (the greedy family coalesces across λ; every other
+// algorithm keys on λ). Run under -race this also exercises the dispatcher
+// for data races.
 func TestServerBatchedQueriesMatchSolo(t *testing.T) {
 	// One shard so both servers apply the load in identical order and build
 	// index-identical corpora — the responses can then be compared verbatim,
@@ -172,15 +186,19 @@ func TestServerBatchedQueriesMatchSolo(t *testing.T) {
 		return req
 	}
 	var queries []q
-	for _, algo := range []string{"greedy", "greedy-improved", "oblivious", "localsearch"} {
+	for _, algo := range []string{"greedy", "greedy-improved", "oblivious", "localsearch", "gs"} {
 		for _, k := range []int{3, 7, 7, 12, 12, 12, 16} {
 			queries = append(queries, q{algo, k, 0})
 		}
-		// Mixed λ on the same epoch: PR 7's λ-keyed dispatcher ran these
-		// solo; the greedy family now folds them into one gang solve.
+		// Mixed λ on the same epoch: the greedy family folds these into one
+		// fused solve; every other algorithm coalesces per λ.
 		for _, lambda := range []float64{0.3, 0.3, 1.1, 2.5} {
 			queries = append(queries, q{algo, 9, lambda})
 		}
+	}
+	// greedy-improved nests by prefix only from k=2: k=1 must key apart.
+	for _, k := range []int{1, 1, 2, 2} {
+		queries = append(queries, q{"greedy-improved", k, 0})
 	}
 	rand.New(rand.NewSource(7)).Shuffle(len(queries), func(i, j int) {
 		queries[i], queries[j] = queries[j], queries[i]

@@ -325,11 +325,11 @@ type solveResult struct {
 // per-query constructions are the O(1) objective struct and pooled scratch.
 //
 // Full-scope solves go through the batching dispatcher: concurrent queries
-// pinning the same epoch with a compatible (algo, λ, k) share one solve —
+// pinning the same epoch with a compatible key (keyFor) share one solve —
 // prefix-nested greedies even across different k, and the single-pick
-// greedy family (core.MultiLambdaCapable) even across different λ via the
-// multi-λ gang — instead of redoing identical candidate scans. Per-query
-// pool overrides bypass coalescing (their execution shape is theirs alone).
+// greedy family (core.MultiLambdaCapable) even across different λ —
+// instead of redoing identical candidate scans. Per-query pool overrides
+// bypass coalescing (their execution shape is theirs alone).
 func (c *corpus) solveFull(ctx context.Context, spec solveSpec) (*solveResult, error) {
 	e := c.store.pin()
 	defer c.store.unpin(e)
@@ -347,56 +347,18 @@ func (c *corpus) solveFull(ctx context.Context, spec solveSpec) (*solveResult, e
 		return nil, err
 	}
 	cs := core.Spec{Algo: spec.algo, K: k, Ctx: ctx, Pool: c.poolFor(spec)}
-	if c.batch.enabled() && spec.parallel == nil && core.MultiLambdaCapable(spec.algo) {
-		// Gang path: concurrent greedy-family queries on this epoch coalesce
-		// even across different λ — one fused solve answers every (λ, k)
-		// member, sharing each round's d_u(S) row fold between the λs whose
-		// trajectories still agree.
-		tr, err := c.batch.solveMulti(ctx, gangKey{seq: e.seq, algo: spec.algo}, spec.lambda, k,
-			func(targets []core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
-				traces, err := core.SolveMultiTrace(obj, core.Spec{Algo: spec.algo, Ctx: ctx, Pool: cs.Pool}, targets)
-				if err != nil {
-					return nil, err
-				}
-				out := make(map[float64]*core.GreedyTrace, len(targets))
-				for i, target := range targets {
-					out[target.Lambda] = traces[i]
-				}
-				return out, nil
+	if c.batch.enabled() && spec.parallel == nil {
+		ans, err := c.batch.dispatch(ctx, keyFor(e.seq, spec.algo, spec.lambda, k), spec.lambda, k,
+			func(targets []core.LambdaTarget) (map[float64]answer, error) {
+				return solveTargets(obj, cs, targets)
 			})
 		switch {
 		case err == nil:
-			return resultFromSolution(e, tr.Solution(k), n), nil
+			return resultFromSolution(e, ans.Solution(k), n), nil
 		case errors.Is(err, errJoinRetry):
-			// Fall through to a solo solve on the same pinned epoch.
-		default:
-			return nil, err
-		}
-	} else if c.batch.enabled() && spec.parallel == nil {
-		prefix := core.PrefixNested(spec.algo, k)
-		key := batchKey{seq: e.seq, algo: spec.algo, lambda: spec.lambda}
-		if !prefix {
-			key.k = k
-		}
-		trace, sol, err := c.batch.solve(ctx, key, k, prefix, func(kMax int) (*core.GreedyTrace, *core.Solution, error) {
-			rs := cs
-			rs.K = kMax
-			if prefix {
-				tr, err := core.SolveTrace(obj, rs)
-				return tr, nil, err
-			}
-			s, err := core.Solve(obj, rs)
-			return nil, s, err
-		})
-		switch {
-		case err == nil:
-			if trace != nil {
-				sol = trace.Solution(k)
-			}
-			return resultFromSolution(e, sol, n), nil
-		case errors.Is(err, errJoinRetry):
-			// The joined leader died of its own context; this query is still
-			// live — fall through to a solo solve on the same pinned epoch.
+			// The joined leader died of its own context, or the key's gangs
+			// are full; this query is still live — fall through to a solo
+			// solve on the same pinned epoch.
 		default:
 			return nil, err
 		}
@@ -407,6 +369,40 @@ func (c *corpus) solveFull(ctx context.Context, spec solveSpec) (*solveResult, e
 		return nil, err
 	}
 	return resultFromSolution(e, sol, n), nil
+}
+
+// solveTargets runs one dispatched solve and returns an answer per target λ:
+// one fused core.SolveMultiTrace for the single-pick greedy family, a trace
+// to the target's k for the other prefix-nested runs, and a plain solution
+// otherwise. Only the greedy family's keys carry more than one target; the
+// others key on λ, so obj's own λ is the target's.
+func solveTargets(obj *core.Objective, spec core.Spec, targets []core.LambdaTarget) (map[float64]answer, error) {
+	if core.MultiLambdaCapable(spec.Algo) {
+		traces, err := core.SolveMultiTrace(obj, spec, targets)
+		if err != nil {
+			return nil, err
+		}
+		out := make(map[float64]answer, len(targets))
+		for i, t := range targets {
+			out[t.Lambda] = traces[i]
+		}
+		return out, nil
+	}
+	t := targets[0]
+	spec.K = t.K
+	var ans answer
+	var err error
+	if core.PrefixNested(spec.Algo, t.K) {
+		ans, err = core.SolveTrace(obj, spec)
+	} else {
+		var sol *core.Solution
+		sol, err = core.Solve(obj, spec)
+		ans = fixedSolution{sol}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return map[float64]answer{t.Lambda: ans}, nil
 }
 
 // resultFromSolution materializes a full-scope solution against its pinned

@@ -175,9 +175,7 @@ func TestServerWeightOnlyCorpus(t *testing.T) {
 // TestServerBackendF32MatchesF64 pins the backend plug point: the f32 and
 // f64 corpora must return the same result IDs for the same data and query
 // (the ~1e-7 relative float32 rounding is far below the gaps between
-// random distances), with objective values agreeing to that rounding. It
-// also pins Config.Float32 as a live alias for Backend: BackendF32 —
-// selecting a real representation again, not a no-op.
+// random distances), with objective values agreeing to that rounding.
 func TestServerBackendF32MatchesF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	batch := make([]ItemPayload, 80)
@@ -209,26 +207,19 @@ func TestServerBackendF32MatchesF64(t *testing.T) {
 		return ids
 	}
 	base, baseStats := run(Config{Shards: 2, Lambda: 0.5, Parallelism: 1})
-	f32, f32Stats := run(Config{Shards: 2, Lambda: 0.5, Parallelism: 1, Float32: true})
-	viaBackend, _ := run(Config{Shards: 2, Lambda: 0.5, Parallelism: 1, Backend: BackendF32})
+	f32, f32Stats := run(Config{Shards: 2, Lambda: 0.5, Parallelism: 1, Backend: BackendF32})
 	if baseStats.Corpus.Backend != string(BackendF64) || f32Stats.Corpus.Backend != string(BackendF32) {
 		t.Fatalf("backend kinds: base %q, f32 %q", baseStats.Corpus.Backend, f32Stats.Corpus.Backend)
 	}
-	for _, other := range []*DiversifyResponse{f32, viaBackend} {
-		if got, want := idsOf(other), idsOf(base); !slices.Equal(got, want) {
-			t.Fatalf("f32 corpus selected %v, f64 selected %v", got, want)
-		}
-		if math.Abs(other.Value-base.Value) > 1e-6*math.Max(1, math.Abs(base.Value)) {
-			t.Fatalf("objective diverged past f32 rounding: %g vs %g", other.Value, base.Value)
-		}
+	if got, want := idsOf(f32), idsOf(base); !slices.Equal(got, want) {
+		t.Fatalf("f32 corpus selected %v, f64 selected %v", got, want)
+	}
+	if math.Abs(f32.Value-base.Value) > 1e-6*math.Max(1, math.Abs(base.Value)) {
+		t.Fatalf("objective diverged past f32 rounding: %g vs %g", f32.Value, base.Value)
 	}
 	// The f32 backend stores the same triangle in half the resident bytes.
 	if r := f32Stats.Corpus.BytesPerItem / baseStats.Corpus.BytesPerItem; r > 0.55 || r <= 0 {
 		t.Fatalf("f32 bytes/item ratio = %.3f of f64, want ≈ 0.5", r)
-	}
-	// Contradictory spellings must fail loudly instead of guessing.
-	if _, err := New(Config{Float32: true, Backend: BackendF64}); err == nil {
-		t.Fatal("Float32 + BackendF64 accepted, want conflict error")
 	}
 }
 

@@ -39,23 +39,24 @@
 // Two mechanisms keep both sides fast under pressure:
 //
 //   - Query batching (Config.Batch, cmd/serve -batch): in-flight full-scope
-//     queries that pin the same epoch are coalesced by a dispatcher. The
-//     first query for a (epoch, algorithm, λ) key runs the solve; compatible
-//     queries arriving while it runs join and wait, so one candidate scan's
-//     distance-row folds feed every member. For the prefix-nested greedy
-//     family (core.PrefixNested) a joiner may even ask for a smaller k than
-//     the leader: the leader records a core.GreedyTrace and each member
-//     materializes its own k-prefix, bit-identical to a solo solve. A
-//     joiner whose leader is cancelled falls back to a solo solve; /stats
-//     reports the coalesced/solo split.
+//     queries that pin the same epoch are coalesced by a dispatcher into
+//     gangs keyed by (epoch, algorithm, λ, k), where λ and k stay zero
+//     whenever the algorithm can share across them. The first query on an
+//     idle key runs the solve; a query the running solve covers joins and
+//     waits, and any other gathers into the next generation, which one of
+//     its members runs as soon as the current one finishes. One candidate
+//     scan's distance-row folds thus feed every member.
 //
-//     The single-pick greedy family ("greedy", "oblivious") coalesces even
-//     across DIFFERENT λ values: queries that agree only on (epoch,
-//     algorithm) gather briefly into a multi-λ gang and run one fused solve
-//     (core.SolveMultiTrace) that shares each round's candidate scan and
-//     distance-row fold across every λ whose trajectory still agrees,
-//     forking per-λ only where the picks diverge. Each member's trace is
-//     bit-identical to its solo solve.
+//     The single-pick greedy family ("greedy", "oblivious") shares across
+//     λ and k: a generation runs one fused solve (core.SolveMultiTrace)
+//     whose λ branches share each round's candidate scan and distance-row
+//     fold until their picks diverge. The other prefix-nested run
+//     ("greedy-improved" from k = 2, see core.PrefixNested) shares across
+//     k: one core.GreedyTrace per λ, each member reading its own k-prefix.
+//     Every other algorithm coalesces only exact duplicates. Every answer
+//     is bit-identical to a solo solve. A joiner whose leader is cancelled,
+//     or a query that finds both generations full, falls back to a solo
+//     solve; /stats reports the coalesced/solo split.
 //
 //   - Mutation backpressure (Config.MaxEpochsLive, cmd/serve
 //     -max-epochs-live): every published-but-pinned epoch keeps distance

@@ -9,10 +9,10 @@ import (
 	"maxsumdiv/internal/core"
 )
 
-// gangOutcome is one solveMulti caller's result.
+// gangOutcome is one dispatch caller's result.
 type gangOutcome struct {
-	trace *core.GreedyTrace
-	err   error
+	ans answer
+	err error
 }
 
 // TestDispatcherGangFusesLambdas drives the multi-λ gang deterministically
@@ -20,8 +20,7 @@ type gangOutcome struct {
 // query joins covered, and three different-λ queries gather into the next
 // generation. Releasing the leader promotes the gathered call; exactly one
 // member claims it and runs ONE fused solve whose frozen targets carry every
-// gathered λ at its max k — the shape the plain λ-keyed dispatcher could
-// never produce.
+// gathered λ at its max k.
 func TestDispatcherGangFusesLambdas(t *testing.T) {
 	d := newDispatcher(8)
 	key := gangKey{seq: 1, algo: core.AlgoGreedy}
@@ -31,8 +30,8 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 
 	var runMu sync.Mutex
 	var runs [][]core.LambdaTarget
-	runFn := func(block bool) func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
-		return func(ts []core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+	runFn := func(block bool) runFunc {
+		return func(ts []core.LambdaTarget) (map[float64]answer, error) {
 			runMu.Lock()
 			runs = append(runs, ts)
 			runMu.Unlock()
@@ -40,14 +39,14 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 				close(leaderIn)
 				<-leaderOut
 			}
-			out := make(map[float64]*core.GreedyTrace, len(ts))
+			out := make(map[float64]answer, len(ts))
 			for _, target := range ts {
 				out[target.Lambda] = traceFor[target.Lambda]
 			}
 			return out, nil
 		}
 	}
-	neverRun := func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+	neverRun := func([]core.LambdaTarget) (map[float64]answer, error) {
 		t.Error("covered joiner ran its own solve")
 		return nil, nil
 	}
@@ -66,7 +65,7 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 
 	leaderDone := make(chan gangOutcome, 1)
 	go func() {
-		tr, err := d.solveMulti(context.Background(), key, 0.5, 10, runFn(true))
+		tr, err := d.dispatch(context.Background(), key, 0.5, 10, runFn(true))
 		leaderDone <- gangOutcome{tr, err}
 	}()
 	<-leaderIn
@@ -75,7 +74,7 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 	// trace prefix, its run closure never executes.
 	coveredDone := make(chan gangOutcome, 1)
 	go func() {
-		tr, err := d.solveMulti(context.Background(), key, 0.5, 3, neverRun)
+		tr, err := d.dispatch(context.Background(), key, 0.5, 3, neverRun)
 		coveredDone <- gangOutcome{tr, err}
 	}()
 	waitGang(func(g *gang) bool { return g.running.waiters == 2 })
@@ -90,7 +89,7 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 	gatherDone := make(chan gangOutcome, len(gathered))
 	for _, gq := range gathered {
 		go func() {
-			tr, err := d.solveMulti(context.Background(), key, gq.lambda, gq.k, runFn(false))
+			tr, err := d.dispatch(context.Background(), key, gq.lambda, gq.k, runFn(false))
 			gatherDone <- gangOutcome{tr, err}
 		}()
 	}
@@ -98,17 +97,17 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 
 	close(leaderOut)
 	for _, got := range []gangOutcome{<-leaderDone, <-coveredDone} {
-		if got.err != nil || got.trace != traceFor[0.5] {
-			t.Fatalf("λ=0.5 member got (%p, %v), want the leader's trace %p", got.trace, got.err, traceFor[0.5])
+		if got.err != nil || got.ans != traceFor[0.5] {
+			t.Fatalf("λ=0.5 member got (%p, %v), want the leader's trace %p", got.ans, got.err, traceFor[0.5])
 		}
 	}
-	seen := map[*core.GreedyTrace]int{}
+	seen := map[answer]int{}
 	for range gathered {
 		got := <-gatherDone
 		if got.err != nil {
 			t.Fatal(got.err)
 		}
-		seen[got.trace]++
+		seen[got.ans]++
 	}
 	if seen[traceFor[0.9]] != 2 || seen[traceFor[1.5]] != 1 {
 		t.Fatalf("gathered members got traces %v, want 2× λ=0.9 and 1× λ=1.5", seen)
@@ -142,18 +141,18 @@ func TestDispatcherGangFusesLambdas(t *testing.T) {
 	}
 }
 
-// TestDispatcherGangJoinRetryOnLeaderCancel pins the gang path's fallback
-// contract, mirroring the plain dispatcher's: a covered joiner whose leader
-// died of the *leader's* context gets errJoinRetry (solveFull then re-solves
-// solo) rather than inheriting a cancellation that isn't its own.
+// TestDispatcherGangJoinRetryOnLeaderCancel pins the fallback contract: a
+// covered joiner whose leader died of the *leader's* context gets
+// errJoinRetry (solveFull then re-solves solo) rather than inheriting a
+// cancellation that isn't its own.
 func TestDispatcherGangJoinRetryOnLeaderCancel(t *testing.T) {
 	d := newDispatcher(4)
 	key := gangKey{seq: 2, algo: core.AlgoOblivious}
 	leaderIn := make(chan struct{})
 	leaderOut := make(chan struct{})
 	go func() {
-		d.solveMulti(context.Background(), key, 0.7, 5,
-			func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+		d.dispatch(context.Background(), key, 0.7, 5,
+			func([]core.LambdaTarget) (map[float64]answer, error) {
 				close(leaderIn)
 				<-leaderOut
 				return nil, context.Canceled
@@ -162,8 +161,8 @@ func TestDispatcherGangJoinRetryOnLeaderCancel(t *testing.T) {
 	<-leaderIn
 	joinErr := make(chan error, 1)
 	go func() {
-		_, err := d.solveMulti(context.Background(), key, 0.7, 5,
-			func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+		_, err := d.dispatch(context.Background(), key, 0.7, 5,
+			func([]core.LambdaTarget) (map[float64]answer, error) {
 				t.Error("covered joiner ran its own solve")
 				return nil, nil
 			})
@@ -198,13 +197,13 @@ func TestDispatcherGangBothGenerationsFull(t *testing.T) {
 	leaderIn := make(chan struct{})
 	leaderOut := make(chan struct{})
 	tr := &core.GreedyTrace{}
-	fill := func(block bool) func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
-		return func(ts []core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+	fill := func(block bool) runFunc {
+		return func(ts []core.LambdaTarget) (map[float64]answer, error) {
 			if block {
 				close(leaderIn)
 				<-leaderOut
 			}
-			out := make(map[float64]*core.GreedyTrace, len(ts))
+			out := make(map[float64]answer, len(ts))
 			for _, target := range ts {
 				out[target.Lambda] = tr
 			}
@@ -216,19 +215,19 @@ func TestDispatcherGangBothGenerationsFull(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d.solveMulti(context.Background(), key, 0.5, 5, fill(true))
+		d.dispatch(context.Background(), key, 0.5, 5, fill(true))
 	}()
 	<-leaderIn
 	wg.Add(1)
 	go func() { // covered joiner fills the running call to the limit
 		defer wg.Done()
-		d.solveMulti(context.Background(), key, 0.5, 5, fill(false))
+		d.dispatch(context.Background(), key, 0.5, 5, fill(false))
 	}()
 	for i := 0; i < 2; i++ { // two mixed-λ gatherers fill the next generation
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.solveMulti(context.Background(), key, 0.9+float64(i), 5, fill(false))
+			d.dispatch(context.Background(), key, 0.9+float64(i), 5, fill(false))
 		}()
 	}
 	for {
@@ -242,7 +241,7 @@ func TestDispatcherGangBothGenerationsFull(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, err := d.solveMulti(context.Background(), key, 2.5, 5, fill(false)); err != errJoinRetry {
+	if _, err := d.dispatch(context.Background(), key, 2.5, 5, fill(false)); err != errJoinRetry {
 		t.Fatalf("query against two full generations got %v, want errJoinRetry", err)
 	}
 	close(leaderOut)
@@ -262,11 +261,11 @@ func TestDispatcherGangMemberCancelCleansUp(t *testing.T) {
 	tr := &core.GreedyTrace{}
 	leaderDone := make(chan gangOutcome, 1)
 	go func() {
-		got, err := d.solveMulti(context.Background(), key, 0.5, 5,
-			func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+		got, err := d.dispatch(context.Background(), key, 0.5, 5,
+			func([]core.LambdaTarget) (map[float64]answer, error) {
 				close(leaderIn)
 				<-leaderOut
-				return map[float64]*core.GreedyTrace{0.5: tr}, nil
+				return map[float64]answer{0.5: tr}, nil
 			})
 		leaderDone <- gangOutcome{got, err}
 	}()
@@ -275,8 +274,8 @@ func TestDispatcherGangMemberCancelCleansUp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	memberErr := make(chan error, 1)
 	go func() {
-		_, err := d.solveMulti(ctx, key, 0.9, 5,
-			func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+		_, err := d.dispatch(ctx, key, 0.9, 5,
+			func([]core.LambdaTarget) (map[float64]answer, error) {
 				t.Error("cancelled member ran a solve")
 				return nil, nil
 			})
@@ -305,8 +304,8 @@ func TestDispatcherGangMemberCancelCleansUp(t *testing.T) {
 	}
 
 	close(leaderOut)
-	if got := <-leaderDone; got.err != nil || got.trace != tr {
-		t.Fatalf("leader got (%p, %v), want (%p, nil)", got.trace, got.err, tr)
+	if got := <-leaderDone; got.err != nil || got.ans != tr {
+		t.Fatalf("leader got (%p, %v), want (%p, nil)", got.ans, got.err, tr)
 	}
 	d.mu.Lock()
 	idle := len(d.gangs) == 0
@@ -317,8 +316,7 @@ func TestDispatcherGangMemberCancelCleansUp(t *testing.T) {
 }
 
 // TestServerMixedLambdaCoalesces is the end-to-end acceptance check for the
-// gang: concurrent greedy queries that differ ONLY in λ — the exact shape
-// the λ-keyed plain dispatcher always ran solo — coalesce and bump
+// gang: concurrent greedy queries that differ ONLY in λ coalesce and bump
 // queries_coalesced. Real solves finish in microseconds, so instead of
 // hoping a storm overlaps, the test holds the epoch's gang open with a
 // blocking fake leader, lets three real /diversify requests gather behind
@@ -357,11 +355,11 @@ func TestServerMixedLambdaCoalesces(t *testing.T) {
 	leaderOut := make(chan struct{})
 	fakeDone := make(chan error, 1)
 	go func() {
-		_, err := d.solveMulti(context.Background(), key, 0.0625, 1,
-			func([]core.LambdaTarget) (map[float64]*core.GreedyTrace, error) {
+		_, err := d.dispatch(context.Background(), key, 0.0625, 1,
+			func([]core.LambdaTarget) (map[float64]answer, error) {
 				close(leaderIn)
 				<-leaderOut
-				return map[float64]*core.GreedyTrace{0.0625: {}}, nil
+				return map[float64]answer{0.0625: &core.GreedyTrace{}}, nil
 			})
 		fakeDone <- err
 	}()

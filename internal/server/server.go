@@ -46,10 +46,6 @@ func (e badRequestError) Unwrap() error { return e.err }
 // straight into -backend.
 type BackendKind string
 
-// Backend is the original name of BackendKind, kept as an alias so existing
-// Config literals and the bench suite keep compiling.
-type Backend = BackendKind
-
 const (
 	// BackendF64 stores exact float64 triangular rows (the default).
 	BackendF64 BackendKind = BackendKind(metric.KindF64)
@@ -127,14 +123,8 @@ type Config struct {
 	// (default) for exact float64 rows, BackendF32 for half the resident
 	// bytes, or BackendVecF32 / BackendVecInt8 to store only item vectors
 	// (O(n·d) resident bytes) and compute cosine distances on demand.
-	// Empty defers to Float32.
+	// Empty selects BackendF64.
 	Backend BackendKind
-	// Float32 selects BackendF32.
-	//
-	// Deprecated: set Backend to BackendF32 instead. Float32 predates the
-	// backend enum, survives only for config compatibility, and may not
-	// contradict a non-empty Backend.
-	Float32 bool
 	// Batch caps how many concurrent full-scope queries one batched solve
 	// may serve: in-flight queries that pin the same epoch with a compatible
 	// (algorithm, λ, k) coalesce onto a single candidate scan, so each
@@ -169,11 +159,7 @@ func (c Config) withDefaults() Config {
 		c.FlushThreshold = 256
 	}
 	if c.Backend == "" {
-		if c.Float32 {
-			c.Backend = BackendF32
-		} else {
-			c.Backend = BackendF64
-		}
+		c.Backend = BackendF64
 	}
 	if c.Batch == 0 {
 		c.Batch = defaultBatch
@@ -219,9 +205,6 @@ type Server struct {
 
 // New builds a server from the config (zero value = defaults).
 func New(cfg Config) (*Server, error) {
-	if cfg.Float32 && cfg.Backend != "" && cfg.Backend != BackendF32 {
-		return nil, fmt.Errorf("server: Float32 conflicts with Backend %q", cfg.Backend)
-	}
 	if _, err := ParseBackendKind(string(cfg.Backend)); err != nil {
 		return nil, err
 	}
