@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"maxsumdiv/internal/candidate"
 	"maxsumdiv/internal/core"
 	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/matroid"
@@ -24,16 +25,20 @@ import (
 // the scratch cache hands each in-flight solve its own state. This is the
 // amortization the dynamic-submodular literature prescribes — pay for
 // structure once, reuse it across the query stream — applied to the serving
-// path.
+// path. The one structure not built by NewIndex is the pre-filter sketch
+// (Query.Candidates): it is built on the first pre-filtered query at each
+// signature width, from the caller's item vectors as they are at that
+// moment, and held for the index's lifetime at about 8 bytes per item per
+// width used.
 type Index struct {
 	items   []Item
 	dist    metric.Metric
-	vecs    [][]float64      // item vectors when every item has one (candidate gen)
-	quality setfunc.Source   // index-default quality (modular unless WithQuality)
-	modular *setfunc.Modular // non-nil when the default quality is modular
-	lambda  float64          // index-default trade-off
-	pool    *engine.Pool     // cached scan workers for queries
-	scratch *core.StateCache // solver scratch shared across query objectives
+	filter  *candidate.Filter // pre-filter over the item vectors; nil without vectors or modular quality
+	quality setfunc.Source    // index-default quality (modular unless WithQuality)
+	modular *setfunc.Modular  // non-nil when the default quality is modular
+	lambda  float64           // index-default trade-off
+	pool    *engine.Pool      // cached scan workers for queries
+	scratch *core.StateCache  // solver scratch shared across query objectives
 
 	// defaultObj evaluates with the index defaults; the deprecated Problem
 	// wrappers and the read accessors (Objective, Distance) go through it.
@@ -95,18 +100,24 @@ func NewIndex(items []Item, opts ...Option) (*Index, error) {
 	}
 	cp := make([]Item, len(items))
 	copy(cp, items)
-	vecs := make([][]float64, len(cp))
-	for i := range cp {
-		if len(cp[i].Vector) == 0 {
-			vecs = nil
-			break
+	var filter *candidate.Filter
+	if modular != nil {
+		vecs := make([][]float64, len(cp))
+		for i := range cp {
+			if len(cp[i].Vector) == 0 {
+				vecs = nil
+				break
+			}
+			vecs[i] = cp[i].Vector
 		}
-		vecs[i] = cp[i].Vector
+		if vecs != nil {
+			filter = candidate.NewFilter(vecs, modular.Weights(), 0)
+		}
 	}
 	return &Index{
 		items:      cp,
 		dist:       dist,
-		vecs:       vecs,
+		filter:     filter,
 		quality:    f,
 		modular:    modular,
 		lambda:     cfg.lambda,

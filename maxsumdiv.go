@@ -91,8 +91,9 @@
 // — n·d·4 bytes as float32, or n·(d+4) int8-quantized — and computes cosine
 // distances on demand, and Query.Candidates = CandidatesPreFiltered
 // restricts each solve to a random-projection candidate subset
-// (Query.CandidateTarget sizes it) so scan work is O(candidates·k) rather
-// than O(n·k). Exact-scan queries remain the default everywhere; the
+// (Query.CandidateTarget sizes it; the index selects it from a sketch built
+// once per signature width, on first use) so scan work is O(candidates·k)
+// rather than O(n·k). Exact-scan queries remain the default everywhere; the
 // pre-filter is opt-in per query and measured by the bench suite's
 // accuracy-vs-exact-scan probe. Index.BackendKind reports which backend a
 // corpus actually runs on, and Index.VectorRowCacheStats exposes the vector

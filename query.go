@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"maxsumdiv/internal/candidate"
 	"maxsumdiv/internal/core"
 	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/metric"
@@ -62,10 +61,16 @@ type Query struct {
 	// set to a random-projection candidate subset (diverse directions plus
 	// the globally heaviest items) and solves over it — O(candidates·k)
 	// scan work instead of O(n·k), the mode that keeps per-query cost
-	// sublinear on vector-backend corpora. Pre-filtered queries need item
-	// vectors and the default modular quality, and reject matroid
+	// sublinear on vector-backend corpora. The subset comes from a sign
+	// sketch of the item vectors, built once per index and signature width
+	// (the width follows the candidate target) on the first pre-filtered
+	// query that needs it: an O(n·bits·d) pass that reads the caller's item
+	// vectors at that moment, whose result the index then holds for its
+	// lifetime (about 8 bytes per item per width). Pre-filtered queries
+	// need item vectors and the default modular quality, and reject matroid
 	// constraints (ErrCandidateFilter); solutions index into the full item
-	// list as usual.
+	// list as usual. K = 0 answers as the exact scan does and builds
+	// nothing.
 	Candidates CandidateMode
 	// CandidateTarget overrides the pre-filter's candidate count; 0 applies
 	// the default heuristic max(512, 64·K) capped at Len(). Larger targets
@@ -209,14 +214,15 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 }
 
 // queryPreFiltered solves a query over a random-projection candidate subset
-// instead of the full ground set: candidate.Select picks
+// instead of the full ground set: the index's candidate.Filter picks
 // max(512, 64·k)-ish indices (directionally spread, top weights always
-// included), the solve runs on an index-remapped view of the backend and
-// weights — no backend is built — and members map back to full-index
-// positions, so the returned Solution is indistinguishable in shape from an
-// exact-scan one. Query.Init members are unioned into the candidate set, so
-// warm-starting local search from a previous solution never loses members
-// to the filter.
+// included) from the sketch it built for this width on first use and holds
+// for the index's lifetime; the solve runs on an index-remapped view of the
+// backend and weights — no backend is built — and members map back to
+// full-index positions, so the returned Solution is indistinguishable in
+// shape from an exact-scan one. Query.Init members are unioned into the
+// candidate set, so warm-starting local search from a previous solution
+// never loses members to the filter.
 func (ix *Index) queryPreFiltered(ctx context.Context, q Query) (*Solution, error) {
 	algo, err := coreAlgo(q.Algorithm)
 	if err != nil {
@@ -228,7 +234,7 @@ func (ix *Index) queryPreFiltered(ctx context.Context, q Query) (*Solution, erro
 	if q.Quality != nil || ix.modular == nil {
 		return nil, fmt.Errorf("%w: custom quality functions need the exact scan", ErrCandidateFilter)
 	}
-	if ix.vecs == nil {
+	if ix.filter == nil {
 		return nil, fmt.Errorf("%w: items carry no vectors", ErrCandidateFilter)
 	}
 	k := q.K
@@ -238,11 +244,16 @@ func (ix *Index) queryPreFiltered(ctx context.Context, q Query) (*Solution, erro
 	if k < 0 || k > ix.Len() {
 		return nil, fmt.Errorf("%w: k = %d with %d items", ErrKOutOfRange, q.K, ix.Len())
 	}
+	if k == 0 {
+		// Nothing to pick: answer as the exact scan does, sketch untouched.
+		q.Candidates = CandidatesExact
+		return ix.Query(ctx, q)
+	}
 	target := q.CandidateTarget
 	if target > 0 && target < k {
 		target = k
 	}
-	cands := candidate.Select(ix.vecs, ix.modular.Weights(), k, candidate.Params{Target: target})
+	cands := ix.filter.Select(k, target)
 	if len(q.Init) > 0 {
 		// Union Init into the candidate set, preserving sorted order.
 		have := make(map[int]bool, len(cands))
