@@ -512,6 +512,47 @@ func BenchmarkParallelLocalSearch_N10000_p32(b *testing.B) {
 	}
 }
 
+// The Table 3 improved greedy on the WithFloat32 backend: the opening's
+// C(n,2) pair scan dominates, read as contiguous float32 rows and split
+// across the pool by equal pair count.
+func BenchmarkParallelGreedyImproved_N2000_p10(b *testing.B) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(29))
+	pts := make([][]float64, n)
+	weights := make([]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, 64)
+		for d := range pts[i] {
+			pts[i][d] = rng.Float64()
+		}
+		weights[i] = rng.Float64()
+	}
+	raw, err := metric.NewPoints(pts, metric.L2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mod, err := setfunc.NewModular(weights)
+	if err != nil {
+		b.Fatal(err)
+	}
+	obj, err := core.NewObjective(mod, 0.2, metric.MaterializeF32(raw))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range poolVariants {
+		name, pool := v.name, v.pool
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sol, err := core.GreedyB(obj, 10, core.WithBestPairStart(), core.WithPool(pool))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkVal = sol.Value
+			}
+		})
+	}
+}
+
 // Pure engine scaling: one argmax over a million candidates with a
 // compute-bound scorer, no memory effects.
 func BenchmarkEngineArgMax_N1M(b *testing.B) {

@@ -35,4 +35,27 @@
 // LSOptions.Pool to the local search. Selection rules are total orders
 // (best score, ties to the lowest index), so parallel runs return solutions
 // byte-identical to serial ones.
+//
+// # Scan kernels
+//
+// With the modular (weight-sum) quality — the default of Index, the server
+// and every benchmark workload — the three scans the algorithms spend their
+// time in run as loops over flat slices (kernel.go) instead of one scorer
+// closure, one Evaluator and one Metric call per candidate:
+//
+//   - the (w, d_u) argmax: one loop serves Greedy B, the oblivious
+//     ablation, Greedy A's last pick and every branch of SolveMultiTrace
+//     (a solo scan is the one-λ case);
+//   - the opening pair scans of the Table 3 greedy and the Section 5 local
+//     search, reading row x as a slice (DenseF32 rows directly, other
+//     backends through a per-worker scratch row) with rows sharded by equal
+//     pair count (engine.ArgMaxTriCtx), since row x holds n−1−x pairs;
+//   - the swap scan of the local search and the Section 6 update, with the
+//     p member rows staged once per pass.
+//
+// The argmax and swap kernels fan out only when every shard scores at
+// least kernelMinShard (8192) candidates or (in, out) pairs: below that the
+// goroutine fan-out costs more than the scan it splits. Kernel and
+// evaluator paths share every score expression, so they pick the same
+// candidates bit for bit (kernel_test.go pins them to frozen references).
 package core

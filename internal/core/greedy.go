@@ -115,11 +115,13 @@ func greedyFill(ctx context.Context, st *State, p int, pool *engine.Pool, trace 
 }
 
 // bestPotentialPair scans all pairs for the maximizer of ½f({x,y}) + λd(x,y),
-// sharding rows (the smaller endpoint) across the pool. On cancellation the
+// sharding rows (the smaller endpoint) across the pool by equal pair count.
+// Modular quality reads each row as a slice (potPairRow); other quality
+// functions score through a per-worker evaluator. On cancellation the
 // returned pair is arbitrary; the caller checks ctx before using it.
 func bestPotentialPair(ctx context.Context, obj *Objective, pool *engine.Pool) (int, int) {
 	n := obj.N()
-	b := pool.ArgMaxPairCtx(ctx, n, func(int) engine.PairScorer {
+	factory := func(int) engine.PairScorer {
 		ev := obj.f.NewEvaluator()
 		return func(x int) (float64, int, bool) {
 			ev.Reset()
@@ -127,17 +129,31 @@ func bestPotentialPair(ctx context.Context, obj *Objective, pool *engine.Pool) (
 			fx := ev.Value()
 			by, bestVal := -1, 0.0
 			for y := x + 1; y < n; y++ {
-				v := 0.5*(fx+ev.Marginal(y)) + obj.lambda*obj.d.Distance(x, y)
+				v := pairPotScore(fx, ev.Marginal(y), obj.lambda, obj.d.Distance(x, y))
 				if by == -1 || v > bestVal {
 					by, bestVal = y, v
 				}
 			}
-			if by == -1 {
-				return 0, 0, false // last row: no partner
-			}
 			return bestVal, by, true
 		}
-	})
+	}
+	if mod, ok := obj.f.(*setfunc.Modular); ok {
+		w := mod.Weights()
+		factory = func(int) engine.PairScorer {
+			rows := newRowReader(obj.d)
+			return func(x int) (float64, int, bool) {
+				var by int
+				var v float64
+				if rows.f32 != nil {
+					by, v = potPairRow(rows.f32.Row(x)[x+1:], w[x+1:], w[x], obj.lambda)
+				} else {
+					by, v = potPairRow(rows.row64(x), w[x+1:], w[x], obj.lambda)
+				}
+				return v, x + 1 + by, true
+			}
+		}
+	}
+	b := pool.ArgMaxTriCtx(ctx, n, kernelMinShard, factory)
 	if b.Index == -1 {
 		return 0, 1 // n < 2 never reaches here (callers check p ≥ 2 ≤ n)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/matroid"
+	"maxsumdiv/internal/setfunc"
 )
 
 // LSOptions configures LocalSearch. The zero value reproduces the paper's
@@ -186,12 +187,15 @@ func initialBasis(ctx context.Context, obj *Objective, m matroid.Matroid, seed [
 
 // bestIndependentPair returns argmax over independent pairs of
 // f({x,y}) + λ·d(x,y), the seed prescribed by Section 5, sharding rows
-// across the pool. The independence oracle is only consulted for pairs that
-// beat the worker's running best.
+// across the pool by equal pair count. The independence oracle is only
+// consulted for pairs that beat the worker's running best. Modular quality
+// reads each row as a slice (indepPairRow); other quality functions score
+// through a per-worker evaluator.
 func bestIndependentPair(ctx context.Context, obj *Objective, m matroid.Matroid, pool *engine.Pool) (int, int, error) {
 	n := obj.N()
-	b := pool.ArgMaxPairCtx(ctx, n, func(int) engine.PairScorer {
+	factory := func(int) engine.PairScorer {
 		ev := obj.f.NewEvaluator()
+		pair := make([]int, 2)
 		taken := false
 		localBest := 0.0
 		return func(x int) (float64, int, bool) {
@@ -200,11 +204,12 @@ func bestIndependentPair(ctx context.Context, obj *Objective, m matroid.Matroid,
 			fx := ev.Value()
 			by, rowBest := -1, 0.0
 			for y := x + 1; y < n; y++ {
-				v := fx + ev.Marginal(y) + obj.lambda*obj.d.Distance(x, y)
+				v := pairObjScore(fx, ev.Marginal(y), obj.lambda, obj.d.Distance(x, y))
 				if (taken && v <= localBest) || (by != -1 && v <= rowBest) {
 					continue
 				}
-				if !m.Independent([]int{x, y}) {
+				pair[0], pair[1] = x, y
+				if !m.Independent(pair) {
 					continue
 				}
 				by, rowBest = y, v
@@ -212,12 +217,34 @@ func bestIndependentPair(ctx context.Context, obj *Objective, m matroid.Matroid,
 			if by == -1 {
 				return 0, 0, false
 			}
-			if !taken || rowBest > localBest {
-				taken, localBest = true, rowBest
-			}
+			taken, localBest = true, rowBest
 			return rowBest, by, true
 		}
-	})
+	}
+	if mod, ok := obj.f.(*setfunc.Modular); ok {
+		w := mod.Weights()
+		factory = func(int) engine.PairScorer {
+			rows := newRowReader(obj.d)
+			pair := make([]int, 2)
+			taken := false
+			localBest := 0.0
+			return func(x int) (float64, int, bool) {
+				var by int
+				var v float64
+				if rows.f32 != nil {
+					by, v = indepPairRow(rows.f32.Row(x)[x+1:], w[x+1:], x, w[x], obj.lambda, m, pair, taken, localBest)
+				} else {
+					by, v = indepPairRow(rows.row64(x), w[x+1:], x, w[x], obj.lambda, m, pair, taken, localBest)
+				}
+				if by == -1 {
+					return 0, 0, false
+				}
+				taken, localBest = true, v
+				return v, x + 1 + by, true
+			}
+		}
+	}
+	b := pool.ArgMaxTriCtx(ctx, n, kernelMinShard, factory)
 	if err := ctxErr(ctx); err != nil {
 		return 0, 0, err
 	}

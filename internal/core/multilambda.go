@@ -115,9 +115,8 @@ func SolveMultiTrace(obj *Objective, spec Spec, targets []LambdaTarget) ([]*Gree
 	n := obj.N()
 	rowAcc, _ := obj.d.(metric.RowAccumulator)
 	batcher, _ := obj.d.(metric.RowBatcher)
-	oblivious := spec.Algo == AlgoOblivious
 	pool := spec.Pool
-	workers := pool.Workers()
+	k := &wduScan{w: mod.Weights(), oblivious: spec.Algo == AlgoOblivious, ctx: spec.Ctx}
 
 	root := &mlBranch{
 		targets: make([]int, len(targets)),
@@ -129,11 +128,8 @@ func SolveMultiTrace(obj *Objective, spec Spec, targets []LambdaTarget) ([]*Gree
 	}
 	branches := []*mlBranch{root}
 
-	// Scan scratch, sized for the widest possible round (every target
-	// growing on one branch) and reused across rounds.
-	bestVal := make([]float64, workers*len(targets))
-	bestIdx := make([]int, workers*len(targets))
-	var growing, picks []int
+	var growing []int
+	var picks []wduBest
 	var rowScratch [][]float32
 
 	for {
@@ -159,7 +155,7 @@ func SolveMultiTrace(obj *Objective, spec Spec, targets []LambdaTarget) ([]*Gree
 			if len(growing) == 0 {
 				continue // every target on this branch is complete
 			}
-			picks = br.scan(obj, mod, pool, spec, oblivious, targets, growing, picks, bestVal, bestIdx)
+			picks = br.scan(k, pool, targets, growing)
 			if err := ctxErr(spec.Ctx); err != nil {
 				return nil, err
 			}
@@ -168,13 +164,13 @@ func SolveMultiTrace(obj *Objective, spec Spec, targets []LambdaTarget) ([]*Gree
 			// (checkP guarantees an eligible candidate exists, so picks are
 			// only -1 on the defensive ground-set-exhausted path: that
 			// branch simply stops growing, exactly as a solo run would.)
-			if picks[0] == -1 {
+			if picks[0].idx == -1 {
 				continue
 			}
 			groupPick := make([]int, 0, len(growing))
 			var forked []*mlBranch
 			for gj, ti := range growing {
-				pick := picks[gj]
+				pick := picks[gj].idx
 				found := -1
 				for gi, p := range groupPick {
 					if p == pick {
@@ -255,76 +251,20 @@ func SolveMultiTrace(obj *Objective, spec Spec, targets []LambdaTarget) ([]*Gree
 	}
 }
 
-// scan runs one fused argmax round for every growing λ on the branch: one
-// pass over the candidates loads each (weight, d_u(S)) pair once and scores
-// it under every λ. Sharding, per-shard strict-> selection, and the
-// in-shard-order merge replicate engine.ArgMaxCtx's total order exactly
-// (max score, ties to the lowest index), so each λ's pick is the one its
-// solo scan would make. Returns one pick per growing target (-1 when no
-// candidate is eligible), in scratch storage reused across rounds.
-func (b *mlBranch) scan(obj *Objective, mod *setfunc.Modular, pool *engine.Pool, spec Spec, oblivious bool, targets []LambdaTarget, growing, picks []int, bestVal []float64, bestIdx []int) []int {
-	nL := len(growing)
-	n := obj.N()
-	workers := pool.Workers()
-	for i := 0; i < workers*nL; i++ {
-		bestIdx[i] = -1
+// scan runs one fused argmax round for every growing λ on the branch
+// through the (w, d_u) kernel: one pass over the candidates loads each
+// (weight, d_u(S)) pair once and scores it under every λ, with the
+// kernel's total order (max score, ties to the lowest index) — the same
+// loop a solo scan runs with one λ, so each λ's pick is the one its solo
+// scan would make. Returns one pick per growing target (-1 when no
+// candidate is eligible), in storage reused across rounds.
+func (b *mlBranch) scan(k *wduScan, pool *engine.Pool, targets []LambdaTarget, growing []int) []wduBest {
+	k.du, k.in = b.du, b.in
+	k.lambdas = k.lambdas[:0]
+	for _, ti := range growing {
+		k.lambdas = append(k.lambdas, targets[ti].Lambda)
 	}
-	var done <-chan struct{}
-	if spec.Ctx != nil {
-		done = spec.Ctx.Done()
-	}
-	pool.For(n, func(worker, lo, hi int) {
-		vals := bestVal[worker*nL : worker*nL+nL]
-		idxs := bestIdx[worker*nL : worker*nL+nL]
-		stride := 1024
-		if span := hi - lo; span < stride {
-			stride = span/4 + 1
-		}
-		for u := lo; u < hi; u++ {
-			if done != nil && (u-lo)%stride == stride-1 {
-				select {
-				case <-done:
-					return // partial shard; the caller checks ctx and discards
-				default:
-				}
-			}
-			if b.in[u] {
-				continue
-			}
-			w := mod.Weight(u)
-			du := b.du[u]
-			if oblivious {
-				for j := 0; j < nL; j++ {
-					if s := objScore(w, targets[growing[j]].Lambda, du); idxs[j] == -1 || s > vals[j] {
-						vals[j], idxs[j] = s, u
-					}
-				}
-			} else {
-				for j := 0; j < nL; j++ {
-					if s := potScore(w, targets[growing[j]].Lambda, du); idxs[j] == -1 || s > vals[j] {
-						vals[j], idxs[j] = s, u
-					}
-				}
-			}
-		}
-	})
-	picks = picks[:0]
-	for j := 0; j < nL; j++ {
-		best, bv := -1, 0.0
-		for w := 0; w < workers; w++ {
-			idx := bestIdx[w*nL+j]
-			if idx == -1 {
-				continue
-			}
-			// Strict > keeps the earlier shard (lower indices) on ties,
-			// matching the engine's merge.
-			if v := bestVal[w*nL+j]; best == -1 || v > bv {
-				best, bv = idx, v
-			}
-		}
-		picks = append(picks, best)
-	}
-	return picks
+	return k.run(pool, len(b.in))
 }
 
 // removeTarget deletes one target index from a branch's ascending list,

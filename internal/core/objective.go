@@ -145,6 +145,10 @@ type State struct {
 	sumD    float64               // d(S)
 	modular *setfunc.Modular      // non-nil fast path when f is modular
 	rowAcc  metric.RowAccumulator // non-nil bulk row fold (Dense, DenseF32)
+	// stage holds the member rows of the modular swap kernel; it lives on
+	// the State so repeated passes (local search, and the fresh scanner of
+	// every BestSwap call) reuse its buffers.
+	stage swapStage
 }
 
 // NewState returns an empty working set for the objective.
@@ -350,7 +354,6 @@ func (s *State) SwapGain(out, in int) float64 {
 // evaluator (loaded with S), so concurrent scan workers can each use a
 // private clone; the modular fast path never touches the evaluator.
 func (s *State) swapGainWith(ev setfunc.Evaluator, out, in int) float64 {
-	dGain := s.du[in] - s.obj.d.Distance(in, out) - s.du[out]
 	var fGain float64
 	if s.modular != nil {
 		fGain = s.modular.Weight(in) - s.modular.Weight(out)
@@ -359,7 +362,7 @@ func (s *State) swapGainWith(ev setfunc.Evaluator, out, in int) float64 {
 		fGain = ev.Marginal(in) - ev.Marginal(out)
 		ev.Add(out)
 	}
-	return fGain + s.obj.lambda*dGain
+	return swapScore(fGain, s.obj.lambda, s.du[in], s.obj.d.Distance(in, out), s.du[out])
 }
 
 // Swap applies S ← S − out + in.

@@ -8,19 +8,18 @@ import (
 	"maxsumdiv/internal/setfunc"
 )
 
-// scanner shards a State's argmax scans across an engine pool. It amortizes
-// the per-worker quality evaluators across rounds: the modular fast path
-// shares the state's evaluator (its Marginal is a pure weight lookup), while
-// general submodular quality gives every worker beyond the first a private
-// clone that the caller keeps in sync via added/removed after each state
-// mutation.
+// scanner shards a State's argmax scans across an engine pool. With modular
+// quality the argmax and swap scans run the slice kernels of kernel.go.
+// Every other quality function scores through per-worker evaluators that
+// the scanner amortizes across rounds: every worker beyond the first gets a
+// private clone that the caller keeps in sync via added/swapped after each
+// state mutation.
 //
-// The scorer closures and the factories handed to the engine are built once
-// per scanner and reused for every round, so a steady-state serial scan
-// allocates nothing: the per-candidate loop runs over cached closures whose
-// captured state (State fields, swap-scan parameters) is updated in place
-// between rounds. Parallel scans additionally pay the engine's goroutine
-// fan-out, nothing per candidate.
+// The kernel state, the scorer closures and the factories handed to the
+// engine are built once per scanner and reused for every round, so a
+// steady-state serial scan allocates nothing; captured state (State fields,
+// swap-scan parameters) is updated in place between rounds. Parallel scans
+// additionally pay the engine's goroutine fan-out, nothing per candidate.
 //
 // The scans only read State fields (in, du, members) and the metric, so they
 // are safe to run concurrently between mutations; all selection rules are
@@ -56,6 +55,13 @@ type scanner struct {
 	swapFilter    func(worker, out, in int) bool
 	swapScorers   []engine.PairScorer
 	swapFactory   func(worker int) engine.PairScorer
+
+	// Modular quality runs the slice kernels instead (kernel.go): the
+	// argmax state, the per-shard swap winners, and the swap shard body,
+	// all built on first use and reused across rounds.
+	wdu      wduScan
+	swapBest []engine.Best
+	swapBody func(worker, lo, hi int)
 }
 
 func newScanner(st *State, pool *engine.Pool) *scanner {
@@ -67,11 +73,7 @@ func newScanner(st *State, pool *engine.Pool) *scanner {
 // rather than at the next round boundary. ctxErr(ctx) is the caller-side
 // check after each scan.
 func newScannerCtx(ctx context.Context, st *State, pool *engine.Pool) *scanner {
-	sc := &scanner{st: st, pool: pool, ctx: ctx}
-	sc.potFactory = sc.potentialScorer
-	sc.objFactory = sc.objectiveScorer
-	sc.swapFactory = sc.swapScorer
-	return sc
+	return &scanner{st: st, pool: pool, ctx: ctx}
 }
 
 // ctxErr reports the context's error; a nil context never errors.
@@ -191,13 +193,34 @@ func (sc *scanner) swapScorer(worker int) engine.PairScorer {
 // argmaxPotential returns the non-member maximizing the greedy potential
 // φ′_u(S) = ½f_u(S) + λ·d_u(S) (Index = -1 when S is the whole ground set).
 func (sc *scanner) argmaxPotential() engine.Best {
+	if sc.st.modular != nil {
+		return sc.argmaxKernel(false)
+	}
+	if sc.potFactory == nil {
+		sc.potFactory = sc.potentialScorer
+	}
 	return sc.pool.ArgMaxCtx(sc.ctx, sc.st.obj.N(), sc.potFactory)
 }
 
 // argmaxObjective returns the non-member maximizing the objective marginal
 // φ_u(S) = f_u(S) + λ·d_u(S).
 func (sc *scanner) argmaxObjective() engine.Best {
+	if sc.st.modular != nil {
+		return sc.argmaxKernel(true)
+	}
+	if sc.objFactory == nil {
+		sc.objFactory = sc.objectiveScorer
+	}
 	return sc.pool.ArgMaxCtx(sc.ctx, sc.st.obj.N(), sc.objFactory)
+}
+
+// argmaxKernel is the modular argmax: the (w, d_u) kernel with one λ.
+func (sc *scanner) argmaxKernel(oblivious bool) engine.Best {
+	st, k := sc.st, &sc.wdu
+	k.w, k.du, k.in, k.oblivious, k.ctx = st.modular.Weights(), st.du, st.in, oblivious, sc.ctx
+	k.lambdas = append(k.lambdas[:0], st.obj.lambda)
+	b := k.run(sc.pool, st.obj.N())[0]
+	return engine.Best{Index: b.idx, Value: b.val}
 }
 
 // bestSwap scans every pair (out ∈ members, in ∉ S) for the maximal
@@ -206,11 +229,56 @@ func (sc *scanner) argmaxObjective() engine.Best {
 // receives the scan worker's index so filters can keep per-worker scratch.
 // The result's Index is the incoming element, Aux the outgoing one; ties
 // break toward the lowest incoming index, then the earliest member.
+//
+// With modular quality the pass stages the member rows once and runs the
+// swap kernel, splitting across the pool only when every shard scores at
+// least kernelMinShard (in, out) pairs.
 func (sc *scanner) bestSwap(members []int, threshold float64, canSwap func(worker, out, in int) bool) engine.Best {
 	sc.swapMembers, sc.swapThreshold, sc.swapFilter = members, threshold, canSwap
-	b := sc.pool.ArgMaxPairCtx(sc.ctx, sc.st.obj.N(), sc.swapFactory)
-	sc.swapMembers, sc.swapFilter = nil, nil // drop references between rounds
-	return b
+	defer func() { sc.swapMembers, sc.swapFilter = nil, nil }() // drop references between rounds
+	if sc.st.modular == nil {
+		if sc.swapFactory == nil {
+			sc.swapFactory = sc.swapScorer
+		}
+		return sc.pool.ArgMaxPairCtx(sc.ctx, sc.st.obj.N(), sc.swapFactory)
+	}
+	st := sc.st
+	st.stage.stage(st, members)
+	defer st.stage.release()
+	workers := sc.pool.Workers()
+	if cap(sc.swapBest) < workers {
+		sc.swapBest = make([]engine.Best, workers)
+	}
+	sc.swapBest = sc.swapBest[:workers]
+	for i := range sc.swapBest {
+		sc.swapBest[i] = engine.Best{Index: -1}
+	}
+	if workers == 1 {
+		sc.swapShard(0, 0, st.obj.N()) // direct call: a serial pass binds no closure
+	} else {
+		if sc.swapBody == nil {
+			sc.swapBody = sc.swapShard
+		}
+		sc.pool.ForMin(st.obj.N(), max(1, kernelMinShard/max(1, len(members))), sc.swapBody)
+	}
+	best := engine.Best{Index: -1}
+	for _, r := range sc.swapBest {
+		// Strict > keeps the earlier shard (lower indices) on ties.
+		if r.Index != -1 && (best.Index == -1 || r.Value > best.Value) {
+			best = r
+		}
+	}
+	return best
+}
+
+// swapShard runs the swap kernel over one shard of incoming candidates.
+func (sc *scanner) swapShard(worker, lo, hi int) {
+	st, sg := sc.st, &sc.st.stage
+	if sg.f32 {
+		sc.swapBest[worker] = swapRows(sc.ctx, sg.rows32, sg, st, sc.swapMembers, sc.swapThreshold, sc.swapFilter, worker, lo, hi)
+	} else {
+		sc.swapBest[worker] = swapRows(sc.ctx, sg.rows64, sg, st, sc.swapMembers, sc.swapThreshold, sc.swapFilter, worker, lo, hi)
+	}
 }
 
 // BestSwap scans all (out ∈ S, in ∉ S) pairs across the pool and returns

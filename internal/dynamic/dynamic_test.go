@@ -410,3 +410,63 @@ func TestSimulateValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSwapScanSessionPoolsIdentical drives sessions through the same
+// perturbation log — weight and distance changes, each followed by its
+// prescribed maintenance — at 1, 2, 3 and 4 scan workers. The swap scan's
+// selection is a total order, so every session must apply the same swaps
+// and hold the same solution, value for value, after every step.
+func TestSwapScanSessionPoolsIdentical(t *testing.T) {
+	const n, p = 1000, 20 // n·p clears the swap kernel's fan-out minimum
+	var sessions []*Session
+	for _, k := range []int{1, 2, 3, 4} {
+		sess, _ := newSession(t, n, p, 0.3, 7)
+		sess.SetParallelism(k)
+		sessions = append(sessions, sess)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for step := 0; step < 40; step++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		w, d := rng.Float64(), 1+rng.Float64()
+		weight := step%2 == 0
+		var applied []int
+		for _, sess := range sessions {
+			prev := sess.Value()
+			var pert Perturbation
+			var err error
+			if weight {
+				pert, err = sess.SetWeight(u, w)
+			} else if u != v {
+				pert, err = sess.SetDistance(u, v, d)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, err := sess.Maintain(pert, prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applied = append(applied, k)
+		}
+		ref := sessions[0]
+		for i, sess := range sessions[1:] {
+			if applied[i+1] != applied[0] || sess.Value() != ref.Value() || !sameMembers(sess.Members(), ref.Members()) {
+				t.Fatalf("step %d: %d workers applied %d swaps to value %v, serial %d to %v",
+					step, i+2, applied[i+1], sess.Value(), applied[0], ref.Value())
+			}
+		}
+	}
+}
+
+// sameMembers compares two member lists in order.
+func sameMembers(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -20,6 +20,17 @@
 // this package return byte-identical solutions; see the determinism tests in
 // internal/core.
 //
+// # Shard layouts
+//
+// ArgMax, ArgMaxPair and For split [0, n) into equal contiguous ranges of
+// at least minShard indices. ArgMaxTriCtx scans the rows of a triangular
+// pair scan, where row x holds n−1−x pairs, and splits the rows by equal
+// pair count instead, so no worker carries the heavy first rows alone.
+// ForMin takes the fan-out minimum from the caller: scans whose per-index
+// work is a few nanoseconds pass a minimum large enough that the goroutine
+// fan-out never costs more than the work it splits. Every layout is a pure
+// function of n and the worker count.
+//
 // # Safety contract
 //
 // The factory passed to ArgMax/ArgMaxPair/For is invoked on the caller's

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"sort"
 	"sync"
 )
 
@@ -175,12 +176,93 @@ func (p *Pool) ArgMaxPairCtx(ctx context.Context, n int, factory func(worker int
 	if n <= 0 {
 		return Best{Index: -1}
 	}
-	done := doneOf(ctx)
 	shards := p.shards(n)
+	chunk := (n + shards - 1) / shards
+	return argMaxShards(doneOf(ctx), 0, shards, func(w int) (int, int) {
+		return w * chunk, min((w+1)*chunk, n)
+	}, factory)
+}
+
+// ArgMaxTriCtx is ArgMaxPairCtx over the rows of a triangular pair scan:
+// row x ∈ [0, n−1) stands for the n−1−x pairs (x, y > x), and its scorer
+// reports the row's best (score, partner). Row x holds n−1−x pairs, so
+// equal row counts would hand the first shard about three times the
+// second's work; instead shard boundaries split the n(n−1)/2 pairs into
+// equal counts (see pairRowBounds), with at least minPairs pairs per shard.
+// The merge is ArgMaxPair's total order: higher score, then lower row.
+// A row is O(n) work, so shards poll ctx before every row.
+func (p *Pool) ArgMaxTriCtx(ctx context.Context, n, minPairs int, factory func(worker int) PairScorer) Best {
+	if n < 2 {
+		return Best{Index: -1}
+	}
+	pairs := n * (n - 1) / 2
+	shards := p.Workers()
+	if minPairs > 0 && pairs/minPairs < shards {
+		shards = max(1, pairs/minPairs)
+	}
+	return argMaxShards(doneOf(ctx), 1, shards, func(w int) (int, int) {
+		return pairRowBounds(n, shards, w)
+	}, factory)
+}
+
+// pairRowBounds returns the row range [lo, hi) of shard s out of shards in
+// a triangular pair scan over n points (row x holds the n−1−x pairs with a
+// larger partner). Shard s starts at the first row whose preceding pairs
+// reach s·P/shards, P = n(n−1)/2, so every shard holds an equal pair count
+// up to one row. The bounds are a pure function of (n, shards, s).
+func pairRowBounds(n, shards, s int) (lo, hi int) {
+	return pairRowStart(n, shards, s), pairRowStart(n, shards, s+1)
+}
+
+// pairRowStart is the first row of shard s: the least x with
+// pairsBefore(x) = x(2n−1−x)/2 ≥ s·P/shards.
+func pairRowStart(n, shards, s int) int {
+	if s >= shards {
+		return n - 1
+	}
+	target := s * (n * (n - 1) / 2) / shards
+	return sort.Search(n-1, func(x int) bool { return x*(2*n-1-x)/2 >= target })
+}
+
+// ForMin is For with a caller-chosen fan-out minimum: [0, n) splits into
+// at most Workers() contiguous shards of at least minPer indices each, and
+// a range shorter than 2·minPer runs inline on the caller's goroutine.
+// Scans whose per-index work is a few nanoseconds use it so the goroutine
+// fan-out is paid only where it is smaller than the work it splits. A
+// body closure reused across calls makes the inline path allocation-free.
+func (p *Pool) ForMin(n, minPer int, body func(worker, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	shards := p.Workers()
+	if minPer > 0 && n/minPer < shards {
+		shards = max(1, n/minPer)
+	}
 	if shards == 1 {
-		return scanShard(factory(0), 0, n, done)
+		body(0, 0, n)
+		return
 	}
 	chunk := (n + shards - 1) / shards
+	var wg sync.WaitGroup
+	for w := 0; w < shards; w++ {
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			body(w, lo, hi)
+		}(w, w*chunk, min((w+1)*chunk, n))
+	}
+	wg.Wait()
+}
+
+// argMaxShards runs one scanShard per shard — inline for a single shard —
+// and merges the shard winners in shard order. factory runs on the
+// caller's goroutine, once per shard, before any scoring starts. stride is
+// the cancellation poll interval (0 = strideFor the shard's span).
+func argMaxShards(done <-chan struct{}, stride, shards int, bounds func(shard int) (lo, hi int), factory func(worker int) PairScorer) Best {
+	if shards == 1 {
+		lo, hi := bounds(0)
+		return scanShard(factory(0), lo, hi, stride, done)
+	}
 	scratch := bestScratch.Get().(*[]Best)
 	if cap(*scratch) < shards {
 		*scratch = make([]Best, shards)
@@ -188,16 +270,12 @@ func (p *Pool) ArgMaxPairCtx(ctx context.Context, n int, factory func(worker int
 	results := (*scratch)[:shards]
 	var wg sync.WaitGroup
 	for w := 0; w < shards; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		lo, hi := bounds(w)
 		score := factory(w)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			results[w] = scanShard(score, lo, hi, done)
+			results[w] = scanShard(score, lo, hi, stride, done)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -217,11 +295,10 @@ func (p *Pool) ArgMaxPairCtx(ctx context.Context, n int, factory func(worker int
 
 // scanShard folds one contiguous index range; strict > keeps the lowest
 // index among equal scores. A ready done channel abandons the range at the
-// next stride boundary.
-func scanShard(score PairScorer, lo, hi int, done <-chan struct{}) Best {
+// next stride boundary (stride 0 = strideFor the range).
+func scanShard(score PairScorer, lo, hi, stride int, done <-chan struct{}) Best {
 	best := Best{Index: -1}
-	stride := cancelStride
-	if done != nil {
+	if stride == 0 {
 		stride = strideFor(hi - lo)
 	}
 	for u := lo; u < hi; u++ {

@@ -206,3 +206,87 @@ func TestArgMaxCtxCancelsSmallScan(t *testing.T) {
 		t.Fatalf("scan visited %d candidates after cancel at 10, want ≤ %d (one small-scan stride)", v, limit)
 	}
 }
+
+// TestPairRowBounds checks the triangular shard layout: shards tile the
+// rows [0, n−1) in order, and each holds its equal share of the n(n−1)/2
+// pairs up to one row's worth.
+func TestPairRowBounds(t *testing.T) {
+	for _, n := range []int{2, 3, 10, 257, 2000} {
+		for shards := 1; shards <= 7; shards++ {
+			total := n * (n - 1) / 2
+			next := 0
+			for s := 0; s < shards; s++ {
+				lo, hi := pairRowBounds(n, shards, s)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d shards=%d: shard %d = [%d,%d), want start %d", n, shards, s, lo, hi, next)
+				}
+				next = hi
+				pairs := 0
+				for x := lo; x < hi; x++ {
+					pairs += n - 1 - x
+				}
+				if share := total / shards; pairs > share+n || pairs < share-n {
+					t.Fatalf("n=%d shards=%d: shard %d holds %d pairs, share %d", n, shards, s, pairs, share)
+				}
+			}
+			if next != n-1 {
+				t.Fatalf("n=%d shards=%d: shards end at row %d, want %d", n, shards, next, n-1)
+			}
+		}
+	}
+}
+
+// TestArgMaxTriMatchesBruteForce checks the pair-balanced row scan against
+// the serial fold, ties included, for every pool size.
+func TestArgMaxTriMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(600)
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = float64(rng.Intn(20))
+		}
+		score := func(x int) (float64, int, bool) { return scores[x], x + 1, x%5 != 3 }
+		want := bruteArgMax(n-1, score)
+		for _, workers := range []int{1, 2, 3, 8} {
+			var rows atomic.Int64
+			got := New(workers).ArgMaxTriCtx(nil, n, 1, func(int) PairScorer {
+				return func(x int) (float64, int, bool) {
+					rows.Add(1)
+					return score(x)
+				}
+			})
+			if got != want || rows.Load() != int64(n-1) {
+				t.Fatalf("n=%d workers=%d: got %+v over %d rows, want %+v over %d", n, workers, got, rows.Load(), want, n-1)
+			}
+		}
+	}
+}
+
+// TestForMinRespectsMinimum checks ForMin's fan-out: every index exactly
+// once, and no shard below the minimum unless the range runs inline.
+func TestForMinRespectsMinimum(t *testing.T) {
+	for _, n := range []int{1, 99, 100, 199, 200, 1000} {
+		for _, workers := range []int{1, 2, 4} {
+			seen := make([]atomic.Int32, n)
+			var shards atomic.Int32
+			New(workers).ForMin(n, 100, func(_, lo, hi int) {
+				shards.Add(1)
+				if hi-lo < 100 && hi-lo != n {
+					t.Errorf("n=%d workers=%d: shard [%d,%d) below the minimum", n, workers, lo, hi)
+				}
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
+			if want := min(workers, max(1, n/100)); int(shards.Load()) != want {
+				t.Fatalf("n=%d workers=%d: %d shards, want %d", n, workers, shards.Load(), want)
+			}
+			for i := range seen {
+				if seen[i].Load() != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, seen[i].Load())
+				}
+			}
+		}
+	}
+}

@@ -47,8 +47,9 @@
 // `purego` build tag forces the scalar reference everywhere, and
 // KernelVariant names the selected build so serving stats and bench
 // reports can attribute measurements. Within one build every read path
-// shares one kernel, so cached rows are always bit-for-bit
-// float32(Distance(u,v)); across builds float32 results agree to
+// shares one kernel, and Distance rounds to float32 exactly as the row
+// cache stores, so cached rows always hold bit for bit the values
+// Distance returns; across builds float32 results agree to
 // length-scaled rounding while int8 results are bitwise identical
 // (int32 accumulation is associative).
 package metric

@@ -9,8 +9,8 @@ package metric
 //
 // Dispatch contract. Within one build exactly one kernel pair is selected,
 // so every read path shares its floating-point behavior: a cached vector
-// row is always bit-for-bit float32(Distance(u,v)) whichever kernel is
-// compiled in. Across builds the kernels differ only in summation order:
+// row always holds bit for bit the values Distance returns, whichever
+// kernel is compiled in. Across builds the kernels differ only in summation order:
 //
 //   - dotI8 accumulates in int32, where addition is associative — every
 //     variant is bitwise identical to the scalar reference on every input

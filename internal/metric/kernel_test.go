@@ -155,8 +155,8 @@ func kernelTestStore(t *testing.T, kind string, n, dim int, seed int64) *VecStor
 
 // TestVecRowsMatchSingleRows pins the batched-row kernel: Rows must return
 // exactly what n separate cosineRow fills produce — bit-for-bit, zero-norm
-// rows and the zero diagonal included — and both must round-trip the
-// on-demand Distance through one float32 store. Runs on both vector kinds
+// rows and the zero diagonal included. (TestKernelRowFoldMatchesDistance
+// pins both against the on-demand Distance.) Runs on both vector kinds
 // so the f32 and int8 batched loops are each pinned to their row kernel.
 func TestVecRowsMatchSingleRows(t *testing.T) {
 	const n, dim = 67, 13 // both ragged: n % dotUnroll ≠ 0, dim % dotUnroll ≠ 0
@@ -174,8 +174,8 @@ func TestVecRowsMatchSingleRows(t *testing.T) {
 				if rows[i][v] != single[v] {
 					t.Fatalf("%s: row %d (point %d) col %d: batched %v, cosineRow %v", kind, i, u, v, rows[i][v], single[v])
 				}
-				if want := float32(s.Distance(u, v)); rows[i][v] != want {
-					t.Fatalf("%s: row %d (point %d) col %d: batched %v, float32(Distance) %v", kind, i, u, v, rows[i][v], want)
+				if got, want := float64(rows[i][v]), s.Distance(u, v); got != want {
+					t.Fatalf("%s: row %d (point %d) col %d: batched %v, Distance %v", kind, i, u, v, got, want)
 				}
 			}
 			if rows[i][u] != 0 {
@@ -255,6 +255,83 @@ func TestVecRowsMixedHitMiss(t *testing.T) {
 		for v := range single {
 			if out[i][v] != single[v] {
 				t.Fatalf("mixed batch row %d (point %d) col %d: %v, want %v", i, u, v, out[i][v], single[v])
+			}
+		}
+	}
+}
+
+// TestKernelRowFoldMatchesDistance pins the read-path agreement every
+// solver relies on: for every RowAccumulator, folding row u into zeros
+// yields exactly Distance(u, v) in slot v, bit for bit — stored-distance
+// backends (Dense, DenseF32, the Tri views with and without a live
+// permutation) and the compute-on-demand vector kinds, both the stores
+// and their snapshots. Solvers mix the two reads (d_u(S) is folded, swap
+// gains and pair scans read single distances or staged rows), so any
+// disagreement is a rounding residue a local search can chase forever.
+func TestKernelRowFoldMatchesDistance(t *testing.T) {
+	const n, dim = 41, 11
+	rng := rand.New(rand.NewSource(47))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, dim)
+		if i == 5 {
+			continue // a zero vector: the cosine convention's distance 1
+		}
+		for k := range pts[i] {
+			pts[i][k] = rng.NormFloat64()
+		}
+	}
+	cos, err := NewCosine(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]RowAccumulator{
+		"dense":     Materialize(cos),
+		"dense-f32": MaterializeF32(cos),
+	}
+	for _, kind := range []string{KindF64, KindF32} {
+		tri, err := NewSnapshotter(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			row := make([]float64, i)
+			for j := range row {
+				row[j] = cos.Distance(i, j)
+			}
+			if _, err := tri.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		backends["tri-"+kind] = tri.Snapshot()
+		// Removals leave a live logical→physical permutation (below the
+		// compaction floor), which AccumulateRow reads as a gather.
+		for _, u := range []int{3, 17, 0} {
+			if err := tri.RemoveSwap(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		backends["tri-"+kind+"-permuted"] = tri
+		backends["tri-"+kind+"-permuted-snap"] = tri.Snapshot()
+	}
+	for _, kind := range []string{KindVecF32, KindVecInt8} {
+		s, err := NewVecStoreFromVectors(kind, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[kind] = s
+		backends[kind+"-snap"] = s.Snapshot()
+	}
+	for name, b := range backends {
+		m := b.Len()
+		dst := make([]float64, m)
+		for u := 0; u < m; u++ {
+			clear(dst)
+			b.AccumulateRow(u, 1, dst)
+			for v := 0; v < m; v++ {
+				if got, want := dst[v], b.Distance(u, v); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: AccumulateRow(%d)[%d] = %v, Distance = %v", name, u, v, got, want)
+				}
 			}
 		}
 	}

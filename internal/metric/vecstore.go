@@ -160,11 +160,16 @@ func (d *vecData) cosine(i, j int) float64 {
 
 // Distance returns the cosine distance 1 − cos(i, j), computed on demand
 // from the stored vectors — no pairwise storage exists to look it up in.
+// It is rounded to float32, the value the row cache stores, so every read
+// path of the backend (Distance, AccumulateRow, Rows) agrees on each pair
+// bit for bit; otherwise a swap gain mixing a folded d_u(S) with a fresh
+// Distance would carry a rounding residue of ~1e-8 that local search can
+// chase back and forth forever.
 func (d *vecData) Distance(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	return 1 - d.cosine(i, j)
+	return float64(float32(1 - d.cosine(i, j)))
 }
 
 // cosineRow streams the whole flat array once to fill dst[v] = d(u, v) for
@@ -180,9 +185,8 @@ func (d *vecData) cosineRow(u int, dst []float32) {
 		dst[u] = 0
 		return
 	}
-	// Divide and clamp in float64 exactly as Distance does, so the cached
-	// row is bit-for-bit float32(Distance(u, v)) — the two read paths can
-	// never disagree beyond the one float32 store rounding.
+	// Divide, clamp and round exactly as Distance does, so the cached row
+	// holds bit for bit the values Distance returns.
 	if d.f32 != nil {
 		a := d.f32[u*d.dim : (u+1)*d.dim]
 		for v := range dst {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -225,6 +226,11 @@ func (d *dispatcher) dispatch(ctx context.Context, key gangKey, lambda float64, 
 func (d *dispatcher) runGang(key gangKey, g *gang, call *multiCall, lambda float64,
 	targets []core.LambdaTarget, run runFunc,
 ) (answer, error) {
+	// Yield once before solving: identical queries already runnable on this
+	// processor then reach the dispatcher and join the call, instead of
+	// queuing behind a solve that never parks (the modular scan kernels run
+	// inline below their fan-out minimum) and leading one gang each.
+	runtime.Gosched()
 	call.answers, call.err = run(targets)
 	d.mu.Lock()
 	if g.running == call {

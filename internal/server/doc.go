@@ -45,7 +45,9 @@
 //     idle key runs the solve; a query the running solve covers joins and
 //     waits, and any other gathers into the next generation, which one of
 //     its members runs as soon as the current one finishes. One candidate
-//     scan's distance-row folds thus feed every member.
+//     scan's distance-row folds thus feed every member. A leader yields its
+//     processor once before solving, so identical queries that are already
+//     runnable join its call even when the solve itself never parks.
 //
 //     The single-pick greedy family ("greedy", "oblivious") shares across
 //     λ and k: a generation runs one fused solve (core.SolveMultiTrace)

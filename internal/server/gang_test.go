@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,5 +424,48 @@ func TestServerMixedLambdaCoalesces(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corpus.QueriesCoalesced != coAfter {
 		t.Fatalf("/stats reports %d coalesced, dispatcher %d", st.Corpus.QueriesCoalesced, coAfter)
+	}
+}
+
+// TestDispatcherLeaderYieldsToRunnableJoiners pins the leader's yield
+// before its solve. On one processor, eight identical queries become
+// runnable at once; the first to run leads, and its solve — a CPU-bound
+// loop that never parks, like the inline scan kernels below their fan-out
+// minimum — would otherwise finish before any other query reached the
+// dispatcher, so every query would lead a solve of its own. With the yield
+// the runnable queries join the leader's call. The scheduler may resume a
+// yielded leader before every joiner has run (it polls the global run
+// queue now and then), so one more generation can form; allowing half the
+// queries to lead still fails without the yield, where all eight do.
+func TestDispatcherLeaderYieldsToRunnableJoiners(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	d := newDispatcher(8)
+	key := gangKey{seq: 1, algo: core.AlgoGreedy}
+	var solves atomic.Int32
+	run := func([]core.LambdaTarget) (map[float64]answer, error) {
+		solves.Add(1)
+		for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
+		}
+		return map[float64]answer{0.5: &core.GreedyTrace{}}, nil
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := d.dispatch(context.Background(), key, 0.5, 4, run); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := solves.Load(); n > 4 {
+		t.Fatalf("8 identical runnable queries ran %d solves, want at most 4", n)
+	}
+	if co, so := d.counters(); co+so != 8 || so != uint64(solves.Load()) {
+		t.Fatalf("coalesced %d, solo %d for 8 queries and %d solves", co, so, solves.Load())
 	}
 }

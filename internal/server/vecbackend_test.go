@@ -225,3 +225,34 @@ func TestServerVecBackendResidentBytesLinear(t *testing.T) {
 			st.Corpus.ResidentBytes, quadratic)
 	}
 }
+
+// TestServerVecLocalSearchK1Terminates is the serving-path regression for
+// local search on vector corpora with tied weights: a k = 1 localsearch
+// query used to swap two tied items back and forth until the request
+// context ended, because the swap gain mixed float32-cached rows with an
+// unrounded Distance. It must now answer promptly with the greedy pick.
+func TestServerVecLocalSearchK1Terminates(t *testing.T) {
+	for _, backend := range []BackendKind{BackendVecF32, BackendVecInt8} {
+		t.Run(string(backend), func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Shards: 2, Lambda: 0.25, Parallelism: 1, Backend: backend})
+			rng := rand.New(rand.NewSource(14))
+			batch := make([]ItemPayload, 50)
+			for i := range batch {
+				batch[i] = ItemPayload{ID: itemID(i), Weight: float64(rng.Intn(4)) / 4, Vector: randVec(rng, 16)}
+			}
+			if code := doJSON(t, http.MethodPost, ts.URL+"/items", batch, nil); code != http.StatusOK {
+				t.Fatalf("insert: status %d", code)
+			}
+			var greedy, ls DiversifyResponse
+			if code := doJSON(t, http.MethodPost, ts.URL+"/diversify", DiversifyRequest{K: 1}, &greedy); code != http.StatusOK {
+				t.Fatalf("greedy: status %d", code)
+			}
+			if code := doJSON(t, http.MethodPost, ts.URL+"/diversify", DiversifyRequest{K: 1, Algorithm: "localsearch"}, &ls); code != http.StatusOK {
+				t.Fatalf("localsearch: status %d", code)
+			}
+			if len(ls.Items) != 1 || ls.Items[0].ID != greedy.Items[0].ID {
+				t.Fatalf("localsearch answered %+v, want the greedy pick %+v", ls.Items, greedy.Items)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"maxsumdiv"
 )
@@ -298,3 +299,43 @@ func TestCandidatesPreFilteredRejections(t *testing.T) {
 type constQuality struct{}
 
 func (constQuality) Value(S []int) float64 { return float64(len(S)) }
+
+// TestVecLocalSearchTerminates is the regression test for local search on
+// the vector backends with tied weights. d_u(S) is folded from the row
+// cache, so a swap gain that subtracted a differently rounded Distance
+// carried a residue of λ·(float32(d) − d) ≈ 1e-8 — above the 1e-12
+// improvement guard in both directions — and a K = 1 search swapped two
+// tied items back and forth until the context deadline. With every read
+// path agreeing on each distance, the greedy start is already locally
+// optimal.
+func TestVecLocalSearchTerminates(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const n, dim = 50, 16
+	vecs := make([][]float64, n)
+	weights := make([]float64, n)
+	for i := range vecs {
+		vecs[i] = make([]float64, dim)
+		for k := range vecs[i] {
+			vecs[i][k] = rng.NormFloat64()
+		}
+		weights[i] = float64(rng.Intn(4)) / 4 // quarters: many exact ties
+	}
+	for _, opt := range []maxsumdiv.Option{maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithVectorBackendInt8()} {
+		ix, err := maxsumdiv.NewVectorIndex(vecs, weights, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lam := 0.25
+		for _, maxSwaps := range []int{0, 1000} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			sol, err := ix.Query(ctx, maxsumdiv.Query{K: 1, Lambda: &lam, Algorithm: maxsumdiv.AlgorithmLocalSearch, MaxSwaps: maxSwaps})
+			cancel()
+			if err != nil {
+				t.Fatalf("%s, MaxSwaps %d: %v", ix.BackendKind(), maxSwaps, err)
+			}
+			if sol.Swaps != 0 {
+				t.Fatalf("%s, MaxSwaps %d: local search applied %d swaps from a locally optimal start", ix.BackendKind(), maxSwaps, sol.Swaps)
+			}
+		}
+	}
+}
