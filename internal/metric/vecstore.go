@@ -3,6 +3,7 @@ package metric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -58,13 +59,15 @@ type rowCacheStats struct {
 
 // rowCache memoizes computed distance rows keyed by point index, bounded by
 // FIFO eviction. Safe for concurrent use; hits hand out shared immutable
-// rows (callers must not mutate them).
+// rows (callers must not mutate them). A snapshot's cache may also carry
+// rows forward from the caches of earlier snapshots (see rowCarry).
 type rowCache struct {
 	mu    sync.Mutex
 	rows  map[int][]float32
 	order []int // insertion order for FIFO eviction
 	cap   int
 	stats *rowCacheStats
+	carry atomic.Pointer[rowCarry] // link to the previous snapshot's cache, or nil
 }
 
 func newRowCache(capacity int, stats *rowCacheStats) *rowCache {
@@ -74,15 +77,37 @@ func newRowCache(capacity int, stats *rowCacheStats) *rowCache {
 	return &rowCache{rows: make(map[int][]float32, capacity), cap: capacity, stats: stats}
 }
 
-// get returns the cached row for u, or nil.
-func (c *rowCache) get(u int) []float32 {
+// get returns u's row — cached, or carried forward from an earlier
+// snapshot's cache — or nil when it must be computed. A carried row counts
+// as a hit: misses count the rows that are computed.
+func (c *rowCache) get(d *vecData, u int) []float32 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	row := c.rows[u]
+	c.mu.Unlock()
+	if row == nil {
+		if row = c.carried(d, u); row != nil {
+			c.put(u, row)
+		}
+	}
 	if row != nil {
 		c.stats.hits.Add(1)
 	} else {
 		c.stats.misses.Add(1)
+	}
+	return row
+}
+
+// take removes u's row from the cache and returns it, or nil; it counts no
+// lookup. A newer snapshot's cache takes a row it carries forward, so the
+// lineage holds each row once.
+func (c *rowCache) take(u int) []float32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	row := c.rows[u]
+	if row != nil {
+		delete(c.rows, u)
+		i := slices.Index(c.order, u)
+		c.order = slices.Delete(c.order, i, i+1)
 	}
 	return row
 }
@@ -115,6 +140,97 @@ func (c *rowCache) reset() {
 // store and all of its snapshots).
 func (c *rowCache) counters() (hits, misses int64) {
 	return c.stats.hits.Load(), c.stats.misses.Load()
+}
+
+// vecCarryDepth bounds how many snapshots back a row can be carried from.
+// The lineage keeps vecCarryDepth+1 caches alive, so carried rows cost at
+// most that many times the row-cache bound in memory; rows older than that
+// are dropped with the cache that holds them.
+const vecCarryDepth = 2
+
+// rowCarry links the row cache of a snapshot to the cache of the snapshot
+// published before it. Between the two, points were only appended or
+// removed by RemoveSwap, and a surviving point keeps its vector, so a row
+// the older snapshot cached still holds the right distance for every
+// surviving point: carrying it forward costs an O(n) copy plus one Distance
+// per point added since, instead of an O(n·d) row computation.
+type rowCarry struct {
+	parent *rowCache
+	nPrev  int // points in the parent's snapshot
+	// moved maps a position whose point sat elsewhere in the parent's
+	// snapshot to that position, or to -1 for a point added since.
+	// Positions below nPrev missing from it hold the same point as in the
+	// parent; positions at or above nPrev missing from it are new points.
+	moved map[int]int
+}
+
+// origin returns the parent position of the point at position v, or -1 if
+// the point is new.
+func (l *rowCarry) origin(v int) int {
+	if o, ok := l.moved[v]; ok {
+		return o
+	}
+	if v < l.nPrev {
+		return v
+	}
+	return -1
+}
+
+// carried rebuilds u's row from the nearest earlier cache in the lineage
+// that holds u's point, taking the row from it, or returns nil.
+func (c *rowCache) carried(d *vecData, u int) []float32 {
+	var links [vecCarryDepth]*rowCarry
+	o := u
+	l := c.carry.Load()
+	for depth := 0; l != nil && depth < len(links); depth++ {
+		if o = l.origin(o); o < 0 {
+			return nil
+		}
+		links[depth] = l
+		if src := l.parent.take(o); src != nil {
+			return carryRow(d, u, src, links[:depth+1])
+		}
+		l = l.parent.carry.Load()
+	}
+	return nil
+}
+
+// carryRow maps src, point u's row in the snapshot links lead back to,
+// onto the current positions. A position every link maps to itself keeps
+// its src entry by one bulk copy; the rest follow the links one by one, and
+// a point added since src was computed gets its Distance. Every entry is
+// the value Distance returns, as in a computed row.
+func carryRow(d *vecData, u int, src []float32, links []*rowCarry) []float32 {
+	row := make([]float32, d.n)
+	m := d.n
+	for _, l := range links {
+		m = min(m, l.nPrev)
+	}
+	copy(row[:m], src)
+	fix := func(v int) {
+		o := v
+		for _, l := range links {
+			if o = l.origin(o); o < 0 {
+				row[v] = float32(d.Distance(u, v))
+				return
+			}
+		}
+		row[v] = src[o]
+	}
+	// A position a link moves is that link's child position, which equals
+	// the current one unless an earlier link moved it — and then that
+	// earlier link names it already.
+	for _, l := range links {
+		for v := range l.moved {
+			if v < m {
+				fix(v)
+			}
+		}
+	}
+	for v := m; v < d.n; v++ {
+		fix(v)
+	}
+	return row
 }
 
 // vecData is the shared storage of a VecStore and its snapshots: flat
@@ -297,7 +413,7 @@ func (d *vecData) cosineRows(us []int, dsts [][]float32) {
 // RemoveSwap moves the last vector into the deleted slot (copy-on-write when
 // a snapshot shares the storage) — O(d), no permutation, no compaction debt.
 // Snapshot is O(1): storage is append-only between copy-on-write points, so
-// a snapshot is a (slice header, n) view plus a private row cache.
+// a snapshot is a (slice header, n) view plus a row cache.
 type VecStore struct {
 	vecData
 	kind     string
@@ -305,6 +421,11 @@ type VecStore struct {
 	cache    *rowCache
 	cacheCap int            // row bound for this store and every snapshot
 	stats    *rowCacheStats // shared with every snapshot's cache
+	// lineage holds the caches of the last published snapshots, oldest
+	// first, each carry-linked to the one before it; pending records how
+	// positions moved since the newest was published.
+	lineage []*rowCache
+	pending rowCarry
 }
 
 // NewVecStore returns an empty vector backend of the given kind (KindVecF32
@@ -438,6 +559,9 @@ func (s *VecStore) AppendVector(vec []float64) (int, error) {
 		s.scale = append(s.scale, scale)
 		s.norm = append(s.norm, float32(math.Sqrt(float64(sum))))
 	}
+	if s.n < s.pending.nPrev {
+		s.markMoved(s.n, -1)
+	}
 	s.n++
 	s.cache.reset()
 	return s.n - 1, nil
@@ -459,6 +583,12 @@ func (s *VecStore) RemoveSwap(u int) error {
 	}
 	s.mutable()
 	last := s.n - 1
+	if len(s.lineage) > 0 {
+		if u != last {
+			s.markMoved(u, s.pending.origin(last))
+		}
+		delete(s.pending.moved, last)
+	}
 	if u != last {
 		if s.f32 != nil {
 			copy(s.f32[u*s.dim:(u+1)*s.dim], s.f32[last*s.dim:(last+1)*s.dim])
@@ -484,6 +614,15 @@ func (s *VecStore) RemoveSwap(u int) error {
 	}
 	s.cache.reset()
 	return nil
+}
+
+// markMoved records that position v now holds the point at position o of
+// the newest published snapshot (-1: a point added since).
+func (s *VecStore) markMoved(v, o int) {
+	if s.pending.moved == nil {
+		s.pending.moved = make(map[int]int)
+	}
+	s.pending.moved[v] = o
 }
 
 // mutable copies the backing arrays if a snapshot shares them, so in-place
@@ -513,7 +652,7 @@ func (s *VecStore) AccumulateRow(u int, sign float64, dst []float64) {
 
 // accumulateVecRow is the shared fold of VecStore and its snapshots.
 func accumulateVecRow(d *vecData, cache *rowCache, u int, sign float64, dst []float64) {
-	row := cache.get(u)
+	row := cache.get(d, u)
 	if row == nil {
 		row = make([]float32, d.n)
 		d.cosineRow(u, row)
@@ -539,16 +678,42 @@ func accumulateVecRow(d *vecData, cache *rowCache, u int, sign float64, dst []fl
 // Snapshot publishes an immutable view of the current state in O(1): the
 // flat storage is shared (copy-on-write protected against later removals)
 // and the view keeps its own length, so appends never disturb it. Each
-// snapshot gets a private row cache — its indexing is frozen, so cached rows
-// never invalidate.
+// snapshot gets its own row cache — its indexing is frozen, so cached rows
+// never invalidate — linked to the previous snapshot's, so rows it cached
+// are carried forward rather than recomputed (see rowCarry). A snapshot of
+// an unchanged store shares the previous snapshot's cache.
 func (s *VecStore) Snapshot() Snapshot {
 	s.shared = true
 	return &vecSnap{
 		vecData: s.vecData,
 		kind:    s.kind,
 		bytes:   int64(len(s.f32))*4 + int64(len(s.q8)) + int64(len(s.scale))*4 + int64(len(s.norm))*4,
-		cache:   newRowCache(s.cacheCap, s.stats),
+		cache:   s.snapCache(),
 	}
+}
+
+// snapCache returns the row cache of a snapshot of the current state and
+// appends it to the lineage, cutting the link that falls past
+// vecCarryDepth.
+func (s *VecStore) snapCache() *rowCache {
+	last := len(s.lineage) - 1
+	if last >= 0 && len(s.pending.moved) == 0 && s.n == s.pending.nPrev {
+		return s.lineage[last]
+	}
+	c := newRowCache(s.cacheCap, s.stats)
+	if last >= 0 {
+		link := s.pending
+		link.parent = s.lineage[last]
+		c.carry.Store(&link)
+	}
+	s.pending = rowCarry{nPrev: s.n}
+	s.lineage = append(s.lineage, c)
+	if len(s.lineage) > vecCarryDepth+1 {
+		s.lineage[1].carry.Store(nil)
+		s.lineage[0] = nil
+		s.lineage = s.lineage[1:]
+	}
+	return c
 }
 
 // vecSnap is the immutable view Snapshot returns: the same compute-on-demand
@@ -564,11 +729,11 @@ type vecSnap struct {
 func (s *vecSnap) Kind() string { return s.kind }
 
 // Bytes approximates the resident bytes this view keeps alive (the vector
-// storage; the row cache rebuilds per snapshot and is excluded so epoch
-// accounting stays stable across query churn).
+// storage; the row cache is excluded so epoch accounting stays stable
+// across query churn).
 func (s *vecSnap) Bytes() int64 { return s.bytes }
 
-// AccumulateRow folds row u through the snapshot's private cache.
+// AccumulateRow folds row u through the snapshot's cache.
 func (s *vecSnap) AccumulateRow(u int, sign float64, dst []float64) {
 	accumulateVecRow(&s.vecData, s.cache, u, sign, dst)
 }
@@ -608,7 +773,7 @@ func batchVecRows(d *vecData, cache *rowCache, us []int, scratch [][]float32) []
 	var missPts []int
 	var missAt []int
 	for i, u := range us {
-		row := cache.get(u)
+		row := cache.get(d, u)
 		out = append(out, row)
 		if row == nil {
 			missPts = append(missPts, u)

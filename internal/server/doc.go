@@ -80,7 +80,8 @@
 // store only the item vectors (O(n·d) resident) and compute cosine rows on
 // demand through maxsumdiv/internal/metric's dispatched dot kernels,
 // behind a bounded per-snapshot row cache (Config.RowCache, cmd/serve
-// -row-cache). /stats reports the compiled kernel variant
+// -row-cache) that carries rows forward from earlier epochs across writes.
+// /stats reports the compiled kernel variant
 // (corpus.kernel) and, on vector backends, the row-cache hit/miss/evict
 // counters (corpus.row_cache). Either way the query
 // path constructs no problem, no distance backend, and no worker pool,
