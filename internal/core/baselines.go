@@ -172,21 +172,8 @@ func HRTMatchingBased(obj *Objective, p int) (*Solution, error) {
 			st.Add(e[1])
 		}
 	}
-	for st.Size() < p {
-		best, bestVal := -1, 0.0
-		for u := 0; u < n; u++ {
-			if st.Contains(u) {
-				continue
-			}
-			v := st.MarginalObjective(u)
-			if best == -1 || v > bestVal {
-				best, bestVal = u, v
-			}
-		}
-		if best == -1 {
-			break
-		}
-		st.Add(best)
+	if err := st.fill(nil, nil, p, true); err != nil {
+		return nil, err
 	}
 	return solutionFromState(st, 0), nil
 }

@@ -36,6 +36,16 @@
 // (best score, ties to the lowest index), so parallel runs return solutions
 // byte-identical to serial ones.
 //
+// Every solve of the single-pick greedy rule runs one round driver
+// (rounds.go): GreedyB after its optional Table 3 opening, GreedyOblivious,
+// the odd-p completions of GreedyA and HRTMatchingBased, State.Fill (the
+// dynamic Session's refill) and SolveMultiTrace, the only traced entry
+// point. A round scans every branch — a State plus the (λ, K) targets
+// still sharing its picks — adds each branch's pick with State.Add, and
+// forks the targets whose picks diverge onto a copy of the branch. Only
+// GreedyMatroid keeps its own loop, because its rule filters candidates by
+// feasibility.
+//
 // # Scan kernels
 //
 // With the modular (weight-sum) quality — the default of Index, the server
@@ -43,9 +53,9 @@
 // time in run as loops over flat slices (kernel.go) instead of one scorer
 // closure, one Evaluator and one Metric call per candidate:
 //
-//   - the (w, d_u) argmax: one loop serves Greedy B, the oblivious
-//     ablation, Greedy A's last pick and every branch of SolveMultiTrace
-//     (a solo scan is the one-λ case);
+//   - the (w, d_u) argmax of the one greedy round driver (rounds.go),
+//     which every greedy-family solve runs: a round scans each branch once
+//     for all of its growing λs (a solo solve is one branch with one λ);
 //   - the opening pair scans of the Table 3 greedy and the Section 5 local
 //     search, reading row x as a slice (DenseF32 rows directly, other
 //     backends through a per-worker scratch row) with rows sharded by equal

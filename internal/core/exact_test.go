@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -337,9 +338,16 @@ func TestExactKMatchingEdgeCases(t *testing.T) {
 
 func TestHRTMatchingBased(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 11; trial++ {
 		n := 7 + rng.Intn(4)
 		obj := randInstance(t, n, 0.3+rng.Float64(), rng)
+		if trial == 10 {
+			// Tied weights and distances: the odd-p completion's argmax
+			// breaks exact ties.
+			d := metric.NewDense(n)
+			d.Fill(func(i, j int) float64 { return float64(1 + (i+j)%2) })
+			obj = modularOn(t, tiedWeights(n, rng), 0.5, d)
+		}
 		for _, p := range []int{2, 3, 4, 5} {
 			sol, err := HRTMatchingBased(obj, p)
 			if err != nil {
@@ -348,6 +356,24 @@ func TestHRTMatchingBased(t *testing.T) {
 			if len(sol.Members) != p {
 				t.Fatalf("p=%d: got %d members", p, len(sol.Members))
 			}
+			// The completion is the objective-marginal argmax on the frozen
+			// reference scan.
+			mod := obj.f.(*setfunc.Modular)
+			pairs, _, err := ExactKMatching(n, p/2, func(u, v int) float64 {
+				return mod.Weight(u) + mod.Weight(v) + 2*obj.lambda*obj.d.Distance(u, v)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := obj.NewState()
+			for _, e := range pairs {
+				st.Add(e[0])
+				st.Add(e[1])
+			}
+			if p%2 == 1 {
+				st.Add(refArgmax(st, nil, true).Index)
+			}
+			sameSolution(t, fmt.Sprintf("trial %d p=%d", trial, p), solutionFromState(st, 0), sol)
 			// The matching-based algorithm uses an optimal matching, so it
 			// can never produce a lower reduced-dispersion opening than the
 			// greedy matching of Greedy A for even p. Sanity: objective is

@@ -25,7 +25,15 @@ type greedyCfg struct {
 	bestLastPick  bool            // Greedy A: pick the best (not arbitrary) odd leftover
 	pool          *engine.Pool    // nil = serial
 	ctx           context.Context // nil = never cancelled
-	trace         *GreedyTrace    // nil = record nothing (see SolveTrace)
+}
+
+// newGreedyCfg applies the options.
+func newGreedyCfg(opts []GreedyOption) greedyCfg {
+	var cfg greedyCfg
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // WithBestPairStart makes GreedyB open with the pair maximizing the potential
@@ -69,49 +77,25 @@ func WithContext(ctx context.Context) GreedyOption {
 //
 // Ties break toward the lowest index, so runs are deterministic.
 func GreedyB(obj *Objective, p int, opts ...GreedyOption) (*Solution, error) {
+	cfg := newGreedyCfg(opts)
+	return greedySolo(obj, p, cfg, false, cfg.bestPairStart)
+}
+
+// greedySolo runs one untraced greedy solve to p through the round driver:
+// the potential rule (the objective marginal when oblivious), opened with
+// the Table 3 best pair when bestPair is set.
+func greedySolo(obj *Objective, p int, cfg greedyCfg, oblivious, bestPair bool) (*Solution, error) {
 	if err := checkP(obj, p); err != nil {
 		return nil, err
 	}
-	var cfg greedyCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
 	st := obj.AcquireState()
 	defer obj.ReleaseState(st)
-	if cfg.bestPairStart && p >= 2 {
-		x, y := bestPotentialPair(cfg.ctx, obj, cfg.pool)
-		if err := ctxErr(cfg.ctx); err != nil {
-			return nil, err
-		}
-		st.Add(x)
-		cfg.trace.record(st, x)
-		st.Add(y)
-		cfg.trace.record(st, y)
-	}
-	if err := greedyFill(cfg.ctx, st, p, cfg.pool, cfg.trace); err != nil {
+	g := st.startSolo(cfg.ctx, cfg.pool, p, oblivious)
+	defer g.finish()
+	if err := g.run(bestPair); err != nil {
 		return nil, err
 	}
 	return solutionFromState(st, 0), nil
-}
-
-// greedyFill extends st to size p by the potential-greedy rule, sharding
-// each round's candidate scan across the pool. It returns ctx's error when
-// the fill is abandoned mid-solve.
-func greedyFill(ctx context.Context, st *State, p int, pool *engine.Pool, trace *GreedyTrace) error {
-	sc := newScannerCtx(ctx, st, pool)
-	for st.Size() < p {
-		b := sc.argmaxPotential()
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		if b.Index == -1 {
-			return nil // ground set exhausted
-		}
-		st.Add(b.Index)
-		trace.record(st, b.Index)
-		sc.added(b.Index)
-	}
-	return nil
 }
 
 // bestPotentialPair scans all pairs for the maximizer of ½f({x,y}) + λd(x,y),
@@ -183,25 +167,10 @@ func GreedyA(obj *Objective, p int, opts ...GreedyOption) (*Solution, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: GreedyA requires a modular quality function, got %T", obj.f)
 	}
-	var cfg greedyCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newGreedyCfg(opts)
 	n := obj.N()
 	st := obj.AcquireState()
 	defer obj.ReleaseState(st)
-	if p == 1 {
-		// Degenerate: the edge reduction needs pairs; take the best vertex.
-		best := 0
-		for u := 1; u < n; u++ {
-			if mod.Weight(u) > mod.Weight(best) {
-				best = u
-			}
-		}
-		st.Add(best)
-		return solutionFromState(st, 0), nil
-	}
-
 	reduced := func(u, v int) float64 {
 		return mod.Weight(u) + mod.Weight(v) + 2*obj.lambda*obj.d.Distance(u, v)
 	}
@@ -214,18 +183,11 @@ func GreedyA(obj *Objective, p int, opts ...GreedyOption) (*Solution, error) {
 		st.Add(e[1])
 	}
 	if st.Size() < p { // odd p (or ran out of edges)
-		if cfg.bestLastPick {
-			sc := newScannerCtx(cfg.ctx, st, cfg.pool)
-			for st.Size() < p {
-				b := sc.argmaxObjective()
-				if err := ctxErr(cfg.ctx); err != nil {
-					return nil, err
-				}
-				if b.Index == -1 {
-					break
-				}
-				st.Add(b.Index)
-				sc.added(b.Index)
+		// p = 1 has no edge to reduce to; it takes the best vertex, the
+		// objective-marginal argmax of the empty set.
+		if cfg.bestLastPick || p == 1 {
+			if err := st.fill(cfg.ctx, cfg.pool, p, true); err != nil {
+				return nil, err
 			}
 		} else {
 			for u := 0; u < n && st.Size() < p; u++ {
@@ -294,29 +256,7 @@ func heaviestDisjointEdges(ctx context.Context, n, k int, weight func(u, v int) 
 // and exists to measure what the non-obliviousness buys (see the ablation
 // benchmarks and TestNonObliviousPotentialMatters).
 func GreedyOblivious(obj *Objective, p int, opts ...GreedyOption) (*Solution, error) {
-	if err := checkP(obj, p); err != nil {
-		return nil, err
-	}
-	var cfg greedyCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
-	st := obj.AcquireState()
-	defer obj.ReleaseState(st)
-	sc := newScannerCtx(cfg.ctx, st, cfg.pool)
-	for st.Size() < p {
-		b := sc.argmaxObjective()
-		if err := ctxErr(cfg.ctx); err != nil {
-			return nil, err
-		}
-		if b.Index == -1 {
-			break
-		}
-		st.Add(b.Index)
-		cfg.trace.record(st, b.Index)
-		sc.added(b.Index)
-	}
-	return solutionFromState(st, 0), nil
+	return greedySolo(obj, p, newGreedyCfg(opts), true, false)
 }
 
 // DispersionGreedy solves max-sum p-dispersion (PROBLEM 1, f ≡ 0) with the

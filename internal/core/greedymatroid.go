@@ -23,10 +23,7 @@ func GreedyMatroid(obj *Objective, m matroid.Matroid, opts ...GreedyOption) (*So
 	if m.GroundSize() != obj.N() {
 		return nil, fmt.Errorf("core: matroid ground size %d, objective has %d", m.GroundSize(), obj.N())
 	}
-	var cfg greedyCfg
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newGreedyCfg(opts)
 	st := obj.NewState()
 	members := []int{}
 	if cfg.bestPairStart && m.Rank() >= 2 {

@@ -149,30 +149,64 @@ func TestFloat32SerialParallelIdentical(t *testing.T) {
 
 // TestGreedyRoundZeroAllocs pins the zero-allocation contract of the steady
 // state: with modular quality, a row-accumulating backend, and a serial
-// pool, a full greedy round — the argmax-over-candidates scan plus the
-// State.Add row fold — must not allocate once the scanner's cached closures
-// exist. This is the regression fence for the hot path; the bench suite
+// pool, one round of the greedy driver — the argmax-over-candidates scan
+// plus the State.Add row fold — must not allocate once the driver's scratch
+// exists. This is the regression fence for the hot path; the bench suite
 // tracks the same property end to end as allocs/op.
 func TestGreedyRoundZeroAllocs(t *testing.T) {
 	_, f32 := pointObjectives(t, 2048, 8, 3)
 	st := f32.AcquireState()
 	defer f32.ReleaseState(st)
-	sc := newScanner(st, nil)
-	// Warm: realize the cached scorer closures and grow members capacity.
-	for i := 0; i < 4; i++ {
-		b := sc.argmaxPotential()
-		st.Add(b.Index)
-		sc.added(b.Index)
+	g := st.startSolo(nil, nil, f32.N(), false)
+	defer g.finish()
+	round := func() {
+		if grew, err := g.round(); !grew || err != nil {
+			t.Fatalf("round: grew %v, err %v", grew, err)
+		}
 	}
-	st.Remove(st.members[len(st.members)-1])
-	allocs := testing.AllocsPerRun(50, func() {
-		b := sc.argmaxPotential()
-		st.Add(b.Index)
-		sc.added(b.Index)
-		st.Remove(b.Index) // keep the set stable across runs
-	})
-	if allocs != 0 {
+	for i := 0; i < 4; i++ {
+		round() // warm: the first round binds the kernel's scratch
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Fatalf("steady-state greedy round allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestMultiTraceRoundZeroAllocs is the multi-λ analogue: two λs whose
+// picks agree share one branch, and a steady-state round — one fused scan,
+// one row fold, two trace records — must not allocate.
+func TestMultiTraceRoundZeroAllocs(t *testing.T) {
+	const k = 200
+	_, f32 := pointObjectives(t, 2048, 8, 3)
+	targets := []LambdaTarget{{Lambda: 0.2, K: k}, {Lambda: math.Nextafter(0.2, 1), K: k}}
+	traces := make([]*GreedyTrace, len(targets))
+	for j := range traces {
+		traces[j] = &GreedyTrace{
+			Order: make([]int, 0, k), Value: make([]float64, 0, k),
+			FValue: make([]float64, 0, k), Dispersion: make([]float64, 0, k),
+		}
+	}
+	st := f32.AcquireState()
+	defer f32.ReleaseState(st)
+	g := st.startRun(nil, nil, false, targets, traces)
+	defer g.finish()
+	round := func() {
+		if grew, err := g.round(); !grew || err != nil {
+			t.Fatalf("round: grew %v, err %v", grew, err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(50, round)
+	if len(g.branches) != 1 {
+		t.Fatalf("the two λs forked into %d branches; the fence needs one", len(g.branches))
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state two-λ round allocates %.1f times per run, want 0", allocs)
+	}
+	if traces[0].Len() != 55 || traces[1].Len() != 55 {
+		t.Fatalf("traces recorded %d and %d picks, want 55 each", traces[0].Len(), traces[1].Len())
 	}
 }
 

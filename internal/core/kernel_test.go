@@ -129,6 +129,25 @@ func refBestSwap(st *State, pool *engine.Pool, members []int, threshold float64,
 	})
 }
 
+// record captures the working set right after adding u, as traced greedy
+// runs recorded before they shared the round driver.
+func (t *GreedyTrace) record(st *State, u int) {
+	t.Order = append(t.Order, u)
+	t.Value = append(t.Value, st.Value())
+	t.FValue = append(t.FValue, st.FValue())
+	t.Dispersion = append(t.Dispersion, st.Dispersion())
+}
+
+// soloTrace is a traced solve of spec.K under the objective's own λ: the
+// one-target SolveMultiTrace.
+func soloTrace(obj *Objective, spec Spec) (*GreedyTrace, error) {
+	trs, err := SolveMultiTrace(obj, spec, []LambdaTarget{{Lambda: obj.Lambda(), K: spec.K}})
+	if err != nil {
+		return nil, err
+	}
+	return trs[0], nil
+}
+
 // refGreedy replays GreedyB (bestPair: the Table 3 opening) or, oblivious,
 // GreedyOblivious on the reference scans, recording the trace.
 func refGreedy(obj *Objective, p int, pool *engine.Pool, oblivious, bestPair bool) (*Solution, *GreedyTrace) {
@@ -340,7 +359,7 @@ func TestKernelGreedyMatchesReference(t *testing.T) {
 				for pi, pool := range kernelPools {
 					label := fmt.Sprintf("%s λ=%g p=%d pool#%d", be.name, lambda, p, pi)
 					for _, algo := range []Algo{AlgoGreedy, AlgoGreedyImproved, AlgoOblivious} {
-						tr, err := SolveTrace(obj, Spec{Algo: algo, K: p, Pool: pool})
+						tr, err := soloTrace(obj, Spec{Algo: algo, K: p, Pool: pool})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -404,7 +423,7 @@ func TestKernelGreedyShardedMatchesReference(t *testing.T) {
 				if oblivious {
 					algo = AlgoOblivious
 				}
-				tr, err := SolveTrace(obj, Spec{Algo: algo, K: 5, Pool: pool})
+				tr, err := soloTrace(obj, Spec{Algo: algo, K: 5, Pool: pool})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -417,7 +436,9 @@ func TestKernelGreedyShardedMatchesReference(t *testing.T) {
 }
 
 // TestKernelMultiTraceMatchesReference pins SolveMultiTrace — the nL > 1
-// case of the same argmax kernel — to solo reference traces per target.
+// case of the same argmax kernel — to solo reference traces per target,
+// and its one-target solves: the Table 3 opening under a λ other than the
+// objective's, and submodular quality on the evaluator scan.
 func TestKernelMultiTraceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(143))
 	const n = 120
@@ -434,6 +455,35 @@ func TestKernelMultiTraceMatchesReference(t *testing.T) {
 				for j, tg := range targets {
 					_, ref := refGreedy(modularOn(t, w, tg.Lambda, be.d), tg.K, nil, algo == AlgoOblivious, false)
 					sameTrace(t, fmt.Sprintf("%s algo %d pool#%d target %+v", be.name, algo, pi, tg), trs[j], ref)
+				}
+			}
+		}
+		for _, tg := range targets {
+			_, ref := refGreedy(modularOn(t, w, tg.Lambda, be.d), tg.K, nil, false, true)
+			for pi, pool := range kernelPools {
+				trs, err := SolveMultiTrace(obj, Spec{Algo: AlgoGreedyImproved, Pool: pool}, []LambdaTarget{tg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameTrace(t, fmt.Sprintf("%s improved pool#%d target %+v", be.name, pi, tg), trs[0], ref)
+			}
+		}
+	}
+	for trial := 0; trial < 4; trial++ {
+		sub := randSubmodularInstance(t, 40, 6, 1, rng)
+		for _, tg := range []LambdaTarget{{0, 4}, {0.3, 7}, {1, 5}, {2.5, 9}} {
+			refObj, err := NewObjective(sub.F(), tg.Lambda, sub.Metric())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []Algo{AlgoGreedy, AlgoOblivious, AlgoGreedyImproved} {
+				_, ref := refGreedy(refObj, tg.K, nil, algo == AlgoOblivious, algo == AlgoGreedyImproved)
+				for pi, pool := range kernelPools {
+					trs, err := SolveMultiTrace(sub, Spec{Algo: algo, Pool: pool}, []LambdaTarget{tg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameTrace(t, fmt.Sprintf("submodular #%d algo %d pool#%d target %+v", trial, algo, pi, tg), trs[0], ref)
 				}
 			}
 		}

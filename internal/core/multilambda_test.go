@@ -52,7 +52,8 @@ func vecMetricForTest(t testing.TB, n, dim int, rng *rand.Rand) metric.Metric {
 
 // TestSolveMultiTraceMatchesSolo pins the tentpole contract: a multi-λ
 // shared solve answers every (λ, K) target bit-identically — same picks,
-// same floating-point values — to a solo traced solve of that target. Runs
+// same floating-point values — to a solo greedy of that target, replayed on
+// the frozen reference scans (refGreedy, kernel_test.go). Runs
 // across both greedy variants, dense and vector metrics, and serial and
 // parallel pools, with λ sets chosen so branches diverge mid-run.
 func TestSolveMultiTraceMatchesSolo(t *testing.T) {
@@ -92,10 +93,7 @@ func TestSolveMultiTraceMatchesSolo(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := SolveTrace(solObj, Spec{Algo: algo, K: target.K, Pool: pool})
-						if err != nil {
-							t.Fatal(err)
-						}
+						_, want := refGreedy(solObj, target.K, pool, algo == AlgoOblivious, false)
 						got := traces[j]
 						if !slices.Equal(got.Order, want.Order) {
 							t.Fatalf("%s algo=%d set=%d target=%d (λ=%g K=%d): order %v, solo %v",
@@ -115,13 +113,20 @@ func TestSolveMultiTraceMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestSolveMultiTraceValidation pins the error contract: non-foldable
-// algorithms, non-modular quality, and invalid targets are rejected.
+// TestSolveMultiTraceValidation pins the error contract: several targets
+// of a non-foldable algorithm or of non-modular quality, non-nested
+// algorithms, and invalid targets are rejected.
 func TestSolveMultiTraceValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	obj := randInstance(t, 20, 0.5, rng)
-	if _, err := SolveMultiTrace(obj, Spec{Algo: AlgoGreedyImproved}, []LambdaTarget{{Lambda: 1, K: 2}}); err == nil {
-		t.Fatal("best-pair opening accepted; its opening is λ-dependent")
+	two := []LambdaTarget{{Lambda: 1, K: 2}, {Lambda: 0.5, K: 3}}
+	if _, err := SolveMultiTrace(obj, Spec{Algo: AlgoGreedyImproved}, two); err == nil {
+		t.Fatal("best-pair opening accepted for two targets; its opening is λ-dependent")
+	}
+	for _, algo := range []Algo{AlgoLocalSearch, AlgoExact, AlgoGollapudiSharma} {
+		if _, err := SolveMultiTrace(obj, Spec{Algo: algo}, []LambdaTarget{{Lambda: 1, K: 2}}); err == nil {
+			t.Fatalf("non-nested algorithm %d accepted", algo)
+		}
 	}
 	if _, err := SolveMultiTrace(obj, Spec{Algo: AlgoGreedy}, []LambdaTarget{{Lambda: -1, K: 2}}); err == nil {
 		t.Fatal("negative λ accepted")
@@ -130,8 +135,8 @@ func TestSolveMultiTraceValidation(t *testing.T) {
 		t.Fatal("K beyond ground size accepted")
 	}
 	sub := randSubmodularInstance(t, 20, 8, 0.5, rng)
-	if _, err := SolveMultiTrace(sub, Spec{Algo: AlgoGreedy}, []LambdaTarget{{Lambda: 1, K: 2}}); err == nil {
-		t.Fatal("submodular quality accepted; the fold requires modular weights")
+	if _, err := SolveMultiTrace(sub, Spec{Algo: AlgoGreedy}, two); err == nil {
+		t.Fatal("submodular quality accepted for two targets; the fold requires modular weights")
 	}
 	if traces, err := SolveMultiTrace(obj, Spec{Algo: AlgoGreedy}, nil); err != nil || len(traces) != 0 {
 		t.Fatalf("empty targets: %v traces, err %v", traces, err)

@@ -149,6 +149,9 @@ type State struct {
 	// the State so repeated passes (local search, and the fresh scanner of
 	// every BestSwap call) reuse its buffers.
 	stage swapStage
+	// run is the greedy round driver's scratch when this State roots a
+	// solve (rounds.go), kept here for the same reason.
+	run *greedyRun
 }
 
 // NewState returns an empty working set for the objective.
@@ -382,6 +385,20 @@ func (s *State) Reset() {
 	for i := range s.du {
 		s.du[i] = 0
 	}
+}
+
+// loadFrom makes s a copy of src, a State of the same ground set: the
+// membership, d_u(S) and d(S) are copied, and the quality evaluator replays
+// src's members in order, so both accumulate f(S) the same way.
+func (s *State) loadFrom(src *State) {
+	s.f.Reset()
+	for _, u := range src.members {
+		s.f.Add(u)
+	}
+	copy(s.in, src.in)
+	copy(s.du, src.du)
+	s.members = append(s.members[:0], src.members...)
+	s.sumD = src.sumD
 }
 
 // SetTo resets the state and loads the given subset.

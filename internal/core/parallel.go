@@ -8,15 +8,17 @@ import (
 	"maxsumdiv/internal/setfunc"
 )
 
-// scanner shards a State's argmax scans across an engine pool. With modular
-// quality the argmax and swap scans run the slice kernels of kernel.go.
-// Every other quality function scores through per-worker evaluators that
-// the scanner amortizes across rounds: every worker beyond the first gets a
-// private clone that the caller keeps in sync via added/swapped after each
-// state mutation.
+// scanner shards a State's evaluator scans across an engine pool: the
+// greedy round's argmax for non-modular quality (rounds.go), the swap scan,
+// and the matroid greedy's feasible addition. With modular quality the swap
+// scan runs the slice kernel of kernel.go instead, and the greedy round
+// never builds a scanner. Evaluator scans score through per-worker
+// evaluators that the scanner amortizes across rounds: every worker beyond
+// the first gets a private clone that the caller keeps in sync via
+// added/swapped after each state mutation.
 //
-// The kernel state, the scorer closures and the factories handed to the
-// engine are built once per scanner and reused for every round, so a
+// The scorer closures, the swap kernel's state and the factories handed to
+// the engine are built once per scanner and reused for every round, so a
 // steady-state serial scan allocates nothing; captured state (State fields,
 // swap-scan parameters) is updated in place between rounds. Parallel scans
 // additionally pay the engine's goroutine fan-out, nothing per candidate.
@@ -38,13 +40,10 @@ type scanner struct {
 	ctx  context.Context     // optional; cancels scans mid-stride (nil = never)
 	evs  []setfunc.Evaluator // lazily built clones for workers ≥ 1
 
-	// Cached per-worker scorers plus the factory closures that dispense
-	// them; engine factories run on the caller's goroutine, so the lazy
-	// construction needs no locking.
-	potScorers []engine.Scorer
-	objScorers []engine.Scorer
-	potFactory func(worker int) engine.Scorer
-	objFactory func(worker int) engine.Scorer
+	// Cached per-worker greedy-rule scorers (see marginalFactory); engine
+	// factories run on the caller's goroutine, so the lazy construction
+	// needs no locking.
+	scorers []engine.Scorer
 
 	// Swap-scan parameters, staged by bestSwap before each scan so the
 	// cached swap scorers read them without per-round captures. The filter
@@ -56,10 +55,9 @@ type scanner struct {
 	swapScorers   []engine.PairScorer
 	swapFactory   func(worker int) engine.PairScorer
 
-	// Modular quality runs the slice kernels instead (kernel.go): the
-	// argmax state, the per-shard swap winners, and the swap shard body,
-	// all built on first use and reused across rounds.
-	wdu      wduScan
+	// Modular quality runs the swap kernel instead (kernel.go): the
+	// per-shard swap winners and the swap shard body, built on first use
+	// and reused across rounds.
 	swapBest []engine.Best
 	swapBody func(worker, lo, hi int)
 }
@@ -123,39 +121,35 @@ func (sc *scanner) swapped(out, in int) {
 	}
 }
 
-// potentialScorer dispenses worker's cached potential scorer, building it on
-// first use.
-func (sc *scanner) potentialScorer(worker int) engine.Scorer {
-	for len(sc.potScorers) <= worker {
-		sc.potScorers = append(sc.potScorers, nil)
-	}
-	if sc.potScorers[worker] == nil {
-		st, ev := sc.st, sc.evaluator(worker)
-		sc.potScorers[worker] = func(u int) (float64, bool) {
-			if st.in[u] {
-				return 0, false
-			}
-			return potScore(ev.Marginal(u), st.obj.lambda, st.du[u]), true
+// marginalFactory returns the engine factory of the greedy round's
+// evaluator scan: per worker, a cached scorer of every non-member's
+// potential φ′_u(S) = ½f_u(S) + λ·d_u(S), or its objective marginal
+// φ_u(S) = f_u(S) + λ·d_u(S) when oblivious. A scanner serves one rule.
+func (sc *scanner) marginalFactory(oblivious bool) func(worker int) engine.Scorer {
+	return func(worker int) engine.Scorer {
+		for len(sc.scorers) <= worker {
+			sc.scorers = append(sc.scorers, nil)
 		}
-	}
-	return sc.potScorers[worker]
-}
-
-// objectiveScorer dispenses worker's cached objective-marginal scorer.
-func (sc *scanner) objectiveScorer(worker int) engine.Scorer {
-	for len(sc.objScorers) <= worker {
-		sc.objScorers = append(sc.objScorers, nil)
-	}
-	if sc.objScorers[worker] == nil {
-		st, ev := sc.st, sc.evaluator(worker)
-		sc.objScorers[worker] = func(u int) (float64, bool) {
-			if st.in[u] {
-				return 0, false
+		if sc.scorers[worker] == nil {
+			st, ev := sc.st, sc.evaluator(worker)
+			if oblivious {
+				sc.scorers[worker] = func(u int) (float64, bool) {
+					if st.in[u] {
+						return 0, false
+					}
+					return objScore(ev.Marginal(u), st.obj.lambda, st.du[u]), true
+				}
+			} else {
+				sc.scorers[worker] = func(u int) (float64, bool) {
+					if st.in[u] {
+						return 0, false
+					}
+					return potScore(ev.Marginal(u), st.obj.lambda, st.du[u]), true
+				}
 			}
-			return objScore(ev.Marginal(u), st.obj.lambda, st.du[u]), true
 		}
+		return sc.scorers[worker]
 	}
-	return sc.objScorers[worker]
 }
 
 // swapScorer dispenses worker's cached swap-probe scorer; the scan
@@ -188,39 +182,6 @@ func (sc *scanner) swapScorer(worker int) engine.PairScorer {
 		}
 	}
 	return sc.swapScorers[worker]
-}
-
-// argmaxPotential returns the non-member maximizing the greedy potential
-// φ′_u(S) = ½f_u(S) + λ·d_u(S) (Index = -1 when S is the whole ground set).
-func (sc *scanner) argmaxPotential() engine.Best {
-	if sc.st.modular != nil {
-		return sc.argmaxKernel(false)
-	}
-	if sc.potFactory == nil {
-		sc.potFactory = sc.potentialScorer
-	}
-	return sc.pool.ArgMaxCtx(sc.ctx, sc.st.obj.N(), sc.potFactory)
-}
-
-// argmaxObjective returns the non-member maximizing the objective marginal
-// φ_u(S) = f_u(S) + λ·d_u(S).
-func (sc *scanner) argmaxObjective() engine.Best {
-	if sc.st.modular != nil {
-		return sc.argmaxKernel(true)
-	}
-	if sc.objFactory == nil {
-		sc.objFactory = sc.objectiveScorer
-	}
-	return sc.pool.ArgMaxCtx(sc.ctx, sc.st.obj.N(), sc.objFactory)
-}
-
-// argmaxKernel is the modular argmax: the (w, d_u) kernel with one λ.
-func (sc *scanner) argmaxKernel(oblivious bool) engine.Best {
-	st, k := sc.st, &sc.wdu
-	k.w, k.du, k.in, k.oblivious, k.ctx = st.modular.Weights(), st.du, st.in, oblivious, sc.ctx
-	k.lambdas = append(k.lambdas[:0], st.obj.lambda)
-	b := k.run(sc.pool, st.obj.N())[0]
-	return engine.Best{Index: b.idx, Value: b.val}
 }
 
 // bestSwap scans every pair (out ∈ members, in ∉ S) for the maximal

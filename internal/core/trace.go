@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -12,7 +13,9 @@ import (
 // run to K ≥ k is the same additions in the same order, with the same
 // floating-point accumulation, as a solo run to k. That prefix nesting is
 // what lets the serving layer's batching dispatcher answer many coalesced
-// queries of different cardinalities from one solve.
+// queries of different cardinalities from one solve. SolveMultiTrace is the
+// one way to record traces: its rounds are the ones every greedy solve runs
+// (rounds.go), so a trace's prefixes are the solo solutions bit for bit.
 //
 // The best-pair opening (AlgoGreedyImproved) is the exception: its first two
 // picks come from a pair scan, so prefixes only match solo runs for k ≥ 2.
@@ -23,19 +26,6 @@ type GreedyTrace struct {
 	// Value[i], FValue[i], Dispersion[i] are φ(S), f(S), d(S) after the
 	// first i+1 additions.
 	Value, FValue, Dispersion []float64
-}
-
-// record captures the working set right after adding u. Nil traces record
-// nothing, so the solvers call it unconditionally at zero cost to untraced
-// runs beyond a pointer test.
-func (t *GreedyTrace) record(st *State, u int) {
-	if t == nil {
-		return
-	}
-	t.Order = append(t.Order, u)
-	t.Value = append(t.Value, st.Value())
-	t.FValue = append(t.FValue, st.FValue())
-	t.Dispersion = append(t.Dispersion, st.Dispersion())
 }
 
 // Len returns how many additions the trace recorded — the solve's target, or
@@ -58,11 +48,6 @@ func (t *GreedyTrace) Solution(k int) *Solution {
 	return sol
 }
 
-// withTrace makes a greedy run record every addition into t.
-func withTrace(t *GreedyTrace) GreedyOption {
-	return func(c *greedyCfg) { c.trace = t }
-}
-
 // PrefixNested reports whether the algorithm's solutions nest by prefix at
 // cardinality target k: one traced run to K ≥ k answers every smaller
 // target. Greedy and the oblivious ablation always nest; the best-pair
@@ -79,29 +64,97 @@ func PrefixNested(algo Algo, k int) bool {
 	}
 }
 
-// SolveTrace runs a prefix-nested greedy to spec.K recording the addition
-// order and per-prefix values; Trace.Solution(k) then reproduces the solo
-// Solve result for every k ≤ spec.K the nesting covers. Algorithms that are
-// not prefix-nested return an error — callers gate on PrefixNested.
-func SolveTrace(obj *Objective, spec Spec) (*GreedyTrace, error) {
+// LambdaTarget is one (λ, K) query of a traced solve: run the greedy
+// selection rule under trade-off λ to cardinality K.
+type LambdaTarget struct {
+	Lambda float64
+	K      int
+}
+
+// MultiLambdaCapable reports whether SolveMultiTrace can answer the
+// algorithm for several targets at once. The plain greedy and the oblivious
+// ablation qualify: their entire trajectory is a sequence of single-element
+// argmax rounds over (weight, d_u(S)) pairs, so runs under different λ share
+// every round whose argmax coincides. The best-pair opening
+// (AlgoGreedyImproved) does not — its first two picks come from a
+// λ-dependent pair scan, so there is no shared prefix to fold.
+func MultiLambdaCapable(algo Algo) bool {
+	return algo == AlgoGreedy || algo == AlgoOblivious
+}
+
+// SolveMultiTrace runs one greedy solve that answers every (λ, K) target at
+// once, returning one trace per target, index-aligned. Each trace is
+// bit-identical — same picks, same floating-point accumulations — to the
+// solo solve of its target: the targets start on one branch of the round
+// driver, and every pick of every branch goes through State.Add.
+//
+// The fold sharing is twofold. Within a round, one pass over the candidates
+// loads each (weight, d_u(S)) pair once and scores it for every λ still
+// growing on a branch. Across targets, λs whose argmax agrees stay on one
+// branch and pay one d_u(S) row fold (AccumulateRow) for the shared pick —
+// the O(n·d) dominant cost on compute-on-demand vector backends — instead of
+// one per λ. A branch forks (an O(n) copy) only when argmaxes diverge; when
+// the metric batches row reads (metric.RowBatcher), the diverged picks of a
+// round are computed in one streaming pass and the per-branch folds hit the
+// warmed cache.
+//
+// Requirements: spec.Algo must be prefix-nested (AlgoGreedy, AlgoOblivious
+// or AlgoGreedyImproved) and spec.Constraint nil. More than one target
+// additionally needs a MultiLambdaCapable algorithm and the modular weight
+// sum as quality (other quality evaluators are stateful in member order and
+// are not forked). spec.K and the objective's own λ are ignored — the
+// targets govern; a single target with another λ solves on a copy of the
+// objective rebound to it. spec.Ctx and spec.Pool are honored as in Solve.
+func SolveMultiTrace(obj *Objective, spec Spec, targets []LambdaTarget) ([]*GreedyTrace, error) {
 	if err := ctxErr(spec.Ctx); err != nil {
 		return nil, err
 	}
-	t := &GreedyTrace{}
-	gopts := []GreedyOption{WithPool(spec.Pool), WithContext(spec.Ctx), withTrace(t)}
-	var err error
-	switch spec.Algo {
-	case AlgoGreedy:
-		_, err = GreedyB(obj, spec.K, gopts...)
-	case AlgoGreedyImproved:
-		_, err = GreedyB(obj, spec.K, append(gopts, WithBestPairStart())...)
-	case AlgoOblivious:
-		_, err = GreedyOblivious(obj, spec.K, gopts...)
-	default:
-		return nil, fmt.Errorf("core: SolveTrace: algorithm %d is not prefix-nested", spec.Algo)
+	if !PrefixNested(spec.Algo, 2) {
+		return nil, fmt.Errorf("core: SolveMultiTrace: algorithm %d is not prefix-nested", spec.Algo)
 	}
-	if err != nil {
+	if spec.Constraint != nil {
+		return nil, fmt.Errorf("core: SolveMultiTrace: matroid constraints are not supported")
+	}
+	if len(targets) > 1 && !MultiLambdaCapable(spec.Algo) {
+		return nil, fmt.Errorf("core: SolveMultiTrace: algorithm %d has a λ-dependent opening; it takes one target", spec.Algo)
+	}
+	if len(targets) > 1 && !obj.IsModular() {
+		return nil, fmt.Errorf("core: SolveMultiTrace: %d targets require modular quality (got %T)", len(targets), obj.f)
+	}
+	for j, t := range targets {
+		if t.Lambda < 0 || math.IsNaN(t.Lambda) || math.IsInf(t.Lambda, 0) {
+			return nil, fmt.Errorf("core: SolveMultiTrace: target %d: lambda = %g, want finite and ≥ 0", j, t.Lambda)
+		}
+		if err := checkP(obj, t.K); err != nil {
+			return nil, err
+		}
+	}
+	traces := make([]*GreedyTrace, len(targets))
+	for j, t := range targets {
+		traces[j] = &GreedyTrace{
+			Order:      make([]int, 0, t.K),
+			Value:      make([]float64, 0, t.K),
+			FValue:     make([]float64, 0, t.K),
+			Dispersion: make([]float64, 0, t.K),
+		}
+	}
+	if len(targets) == 0 {
+		return traces, nil
+	}
+	if len(targets) == 1 && targets[0].Lambda != obj.lambda {
+		rebound := *obj
+		rebound.lambda = targets[0].Lambda
+		obj = &rebound
+	}
+	// The root is a fresh State, not one from the scratch cache: with
+	// pooled roots, perfbench's serve-read workload (a 20 000-item corpus
+	// under writes) held about 2 MiB (6%) more live heap on a 2-vCPU VM,
+	// for no CPU gain. Forks still come from the cache.
+	st := obj.NewState()
+	g := st.startRun(spec.Ctx, spec.Pool, spec.Algo == AlgoOblivious, targets, traces)
+	defer g.finish()
+	if err := g.run(spec.Algo == AlgoGreedyImproved); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return traces, nil
 }

@@ -8,9 +8,10 @@ import (
 
 // TestSolveTracePrefixesMatchSolo pins the contract the serving layer's
 // batching dispatcher is built on: for every prefix-nested algorithm, one
-// traced run to K reproduces the solo Solve result at every covered k —
-// identical members AND bit-identical objective values, since the additions
-// (and so the floating-point accumulation order) are the same.
+// traced run (a one-target SolveMultiTrace) to K reproduces the solo Solve
+// result at every covered k — identical members AND bit-identical objective
+// values, since the additions (and so the floating-point accumulation
+// order) are the same.
 func TestSolveTracePrefixesMatchSolo(t *testing.T) {
 	const n, kMax = 60, 20
 	for _, tc := range []struct {
@@ -24,7 +25,7 @@ func TestSolveTracePrefixesMatchSolo(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			obj := randInstance(t, n, 0.7, rand.New(rand.NewSource(51)))
-			trace, err := SolveTrace(obj, Spec{Algo: tc.algo, K: kMax})
+			trace, err := soloTrace(obj, Spec{Algo: tc.algo, K: kMax})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +62,8 @@ func TestSolveTracePrefixesMatchSolo(t *testing.T) {
 		if PrefixNested(algo, 5) {
 			t.Fatalf("PrefixNested(%v) = true for a non-nested algorithm", algo)
 		}
-		if _, err := SolveTrace(obj, Spec{Algo: algo, K: 5}); err == nil {
-			t.Fatalf("SolveTrace accepted non-nested algorithm %v", algo)
+		if _, err := soloTrace(obj, Spec{Algo: algo, K: 5}); err == nil {
+			t.Fatalf("SolveMultiTrace accepted non-nested algorithm %v", algo)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"maxsumdiv/internal/core"
-	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/setfunc"
 )
 
@@ -36,6 +35,13 @@ func (s *Session) ensureFresh() {
 	if !s.stale {
 		return
 	}
+	s.rebuild()
+	s.fill()
+}
+
+// rebuild derives the quality function, objective and incremental State
+// from the mutated instance and loads the pending membership.
+func (s *Session) rebuild() {
 	mod, err := setfunc.NewModular(s.inst.Weights)
 	if err != nil {
 		panic(fmt.Sprintf("dynamic: rebuild: %v", err)) // validated at insert
@@ -49,31 +55,13 @@ func (s *Session) ensureFresh() {
 	s.st.SetTo(s.pending)
 	s.pending = nil
 	s.stale = false
-	s.fill()
 }
 
 // fill greedily extends the selection to min(p, n) by the paper's potential
-// rule φ′_u(S) = ½f_u(S) + λ·d_u(S), sharding the scan across the session's
-// pool. Modular quality makes the scan safe at any parallelism.
+// rule φ′_u(S) = ½f_u(S) + λ·d_u(S) (core.State.Fill), sharding each scan
+// across the session's pool.
 func (s *Session) fill() {
-	target := s.p
-	if n := s.obj.N(); target > n {
-		target = n
-	}
-	for s.st.Size() < target {
-		b := s.pool.ArgMax(s.obj.N(), func(int) engine.Scorer {
-			return func(u int) (float64, bool) {
-				if s.st.Contains(u) {
-					return 0, false
-				}
-				return s.st.MarginalPotential(u), true
-			}
-		})
-		if b.Index == -1 {
-			return
-		}
-		s.st.Add(b.Index)
-	}
+	_ = s.st.Fill(nil, s.pool, s.p) // a nil context never cancels
 }
 
 // N returns the current ground-set size (including pending mutations).

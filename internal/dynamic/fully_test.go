@@ -1,10 +1,14 @@
 package dynamic
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"maxsumdiv/internal/dataset"
+	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/metric"
 )
 
@@ -234,5 +238,105 @@ func TestInsertValidation(t *testing.T) {
 	}
 	if _, err := s.InsertElement(1, []float64{-2}); err == nil {
 		t.Fatal("negative distance accepted")
+	}
+}
+
+// refFill is the session refill as it ran before it shared the core round
+// driver: one engine scorer closure per round, scoring every non-member by
+// State.MarginalPotential, ties to the lowest index.
+func refFill(s *Session) {
+	target := s.p
+	if n := s.obj.N(); target > n {
+		target = n
+	}
+	for s.st.Size() < target {
+		b := s.pool.ArgMax(s.obj.N(), func(int) engine.Scorer {
+			return func(u int) (float64, bool) {
+				if s.st.Contains(u) {
+					return 0, false
+				}
+				return s.st.MarginalPotential(u), true
+			}
+		})
+		if b.Index == -1 {
+			return
+		}
+		s.st.Add(b.Index)
+	}
+}
+
+// refFresh is ensureFresh with the reference refill.
+func refFresh(s *Session) {
+	if s.stale {
+		s.rebuild()
+		refFill(s)
+	}
+}
+
+// TestSessionFillMatchesReference pins the maintained selection's refill
+// (State.Fill) to the reference refill bit for bit — membership in
+// insertion order and Value() — after insert and delete bursts and target
+// growth, with weights and distances drawn from a few values so potentials
+// tie, serially and on a 4-worker pool.
+func TestSessionFillMatchesReference(t *testing.T) {
+	weights := []float64{0, 0.25, 0.5, 1}
+	dists := []float64{1, 1.5, 2}
+	for _, workers := range []int{1, 4} {
+		for seed := int64(0); seed < 6; seed++ {
+			rng := rand.New(rand.NewSource(100 + seed))
+			lambda := []float64{0, 0.3, 1}[seed%3]
+			p := 2 + int(seed%3)
+			got, ref := emptySession(t, lambda, p), emptySession(t, lambda, p)
+			got.SetParallelism(workers)
+			ref.SetParallelism(workers)
+			n := 0
+			compare := func(step string) {
+				t.Helper()
+				refFresh(ref)
+				gm, rm := got.Members(), ref.st.Members()
+				if !slices.Equal(gm, rm) {
+					t.Fatalf("workers=%d seed=%d %s: members %v, reference %v", workers, seed, step, gm, rm)
+				}
+				if gv, rv := got.Value(), ref.st.Value(); math.Float64bits(gv) != math.Float64bits(rv) {
+					t.Fatalf("workers=%d seed=%d %s: Value %v, reference %v", workers, seed, step, gv, rv)
+				}
+			}
+			for burst := 0; burst < 25; burst++ {
+				for op := rng.Intn(6); op >= 0; op-- {
+					if n > 3 && rng.Float64() < 0.35 {
+						u := rng.Intn(n)
+						for _, s := range []*Session{got, ref} {
+							if _, err := s.DeleteElement(u); err != nil {
+								t.Fatal(err)
+							}
+						}
+						n--
+						continue
+					}
+					w := weights[rng.Intn(len(weights))]
+					row := make([]float64, n)
+					for i := range row {
+						row[i] = dists[rng.Intn(len(dists))]
+					}
+					for _, s := range []*Session{got, ref} {
+						if _, err := s.InsertElement(w, slices.Clone(row)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					n++
+				}
+				compare(fmt.Sprintf("burst %d", burst))
+				if burst%8 == 7 {
+					p += 2
+					if err := got.SetTarget(p); err != nil {
+						t.Fatal(err)
+					}
+					refFresh(ref)
+					ref.p = p
+					refFill(ref)
+					compare(fmt.Sprintf("SetTarget(%d)", p))
+				}
+			}
+		}
 	}
 }

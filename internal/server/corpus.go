@@ -294,18 +294,14 @@ type solveSpec struct {
 	k        int
 	lambda   float64
 	parallel *engine.Pool // nil = corpus pool
-	// exactLimit caps the candidate-pool size core.AlgoExact accepts
-	// (0 = unlimited). The pool size is the pinned epoch's — immutable for
-	// the duration of the solve — so check and enumeration cannot race a
-	// flush.
-	exactLimit int
 }
 
-// checkExactLimit rejects an over-limit exact solve; n is the pinned
-// epoch's pool size.
-func (spec solveSpec) checkExactLimit(n int) error {
-	if spec.algo == core.AlgoExact && spec.exactLimit > 0 && n > spec.exactLimit {
-		return badRequestError{exactLimitError(n)}
+// checkLimit rejects a solve whose algorithm is capped below n candidates
+// (see queryLimit); n is the pinned epoch's pool size, immutable for the
+// duration of the solve, so check and solve cannot race a flush.
+func (spec solveSpec) checkLimit(n int) error {
+	if name, limit := queryLimit(spec.algo); limit > 0 && n > limit {
+		return badRequestError{fmt.Errorf("algorithm %s is limited to %d items (have %d); use another algorithm or shrink the candidate pool", name, limit, n)}
 	}
 	return nil
 }
@@ -338,7 +334,7 @@ func (c *corpus) solveFull(ctx context.Context, spec solveSpec) (*solveResult, e
 	if n == 0 || spec.k == 0 {
 		return &solveResult{n: n, epoch: e.seq}, nil
 	}
-	if err := spec.checkExactLimit(n); err != nil {
+	if err := spec.checkLimit(n); err != nil {
 		return nil, err
 	}
 	k := min(spec.k, n)
@@ -371,38 +367,31 @@ func (c *corpus) solveFull(ctx context.Context, spec solveSpec) (*solveResult, e
 	return resultFromSolution(e, sol, n), nil
 }
 
-// solveTargets runs one dispatched solve and returns an answer per target λ:
-// one fused core.SolveMultiTrace for the single-pick greedy family, a trace
-// to the target's k for the other prefix-nested runs, and a plain solution
-// otherwise. Only the greedy family's keys carry more than one target; the
-// others key on λ, so obj's own λ is the target's.
+// solveTargets runs one dispatched solve and returns an answer per target
+// λ: a prefix-nested algorithm runs one core.SolveMultiTrace (fused across
+// λ for the single-pick greedy family, one trace to the target's k
+// otherwise), and every other algorithm a plain solution. Only the greedy
+// family's keys carry more than one target; the others key on λ, so obj's
+// own λ is the target's.
 func solveTargets(obj *core.Objective, spec core.Spec, targets []core.LambdaTarget) (map[float64]answer, error) {
-	if core.MultiLambdaCapable(spec.Algo) {
+	out := make(map[float64]answer, len(targets))
+	if core.PrefixNested(spec.Algo, targets[0].K) {
 		traces, err := core.SolveMultiTrace(obj, spec, targets)
 		if err != nil {
 			return nil, err
 		}
-		out := make(map[float64]answer, len(targets))
 		for i, t := range targets {
 			out[t.Lambda] = traces[i]
 		}
 		return out, nil
 	}
-	t := targets[0]
-	spec.K = t.K
-	var ans answer
-	var err error
-	if core.PrefixNested(spec.Algo, t.K) {
-		ans, err = core.SolveTrace(obj, spec)
-	} else {
-		var sol *core.Solution
-		sol, err = core.Solve(obj, spec)
-		ans = fixedSolution{sol}
-	}
+	spec.K = targets[0].K
+	sol, err := core.Solve(obj, spec)
 	if err != nil {
 		return nil, err
 	}
-	return map[float64]answer{t.Lambda: ans}, nil
+	out[targets[0].Lambda] = fixedSolution{sol}
+	return out, nil
 }
 
 // resultFromSolution materializes a full-scope solution against its pinned
@@ -435,7 +424,7 @@ func (c *corpus) solveSubset(ctx context.Context, ids []string, spec solveSpec) 
 	if m == 0 || spec.k == 0 {
 		return &solveResult{n: m, epoch: e.seq}, nil
 	}
-	if err := spec.checkExactLimit(m); err != nil {
+	if err := spec.checkLimit(m); err != nil {
 		return nil, err
 	}
 	k := min(spec.k, m)

@@ -49,12 +49,13 @@
 //     processor once before solving, so identical queries that are already
 //     runnable join its call even when the solve itself never parks.
 //
-//     The single-pick greedy family ("greedy", "oblivious") shares across
-//     λ and k: a generation runs one fused solve (core.SolveMultiTrace)
-//     whose λ branches share each round's candidate scan and distance-row
-//     fold until their picks diverge. The other prefix-nested run
-//     ("greedy-improved" from k = 2, see core.PrefixNested) shares across
-//     k: one core.GreedyTrace per λ, each member reading its own k-prefix.
+//     Every prefix-nested run (see core.PrefixNested) is one traced solve,
+//     core.SolveMultiTrace, each member reading its own k-prefix of a
+//     core.GreedyTrace. The single-pick greedy family ("greedy",
+//     "oblivious") shares across λ and k: a generation's solve carries one
+//     target per λ, whose branches share each round's candidate scan and
+//     distance-row fold until their picks diverge. "greedy-improved" from
+//     k = 2 shares across k only: one target, its own λ.
 //     Every other algorithm coalesces only exact duplicates. Every answer
 //     is bit-identical to a solo solve. A joiner whose leader is cancelled,
 //     or a query that finds both generations full, falls back to a solo

@@ -23,13 +23,26 @@ import (
 // JSON; batches should stay well under this).
 const maxBodyBytes = 8 << 20
 
-// exactQueryLimit caps the corpus size the exponential exact solver will
-// accept over HTTP; larger requests must shrink the scope first.
-const exactQueryLimit = 40
+// Candidate-pool caps of the algorithms whose cost explodes with n; a
+// larger request answers 400 and must shrink the scope first. The exact
+// solver is exponential. Gollapudi–Sharma materializes all n(n−1)/2 edges
+// (24 bytes each) before it first polls the request's context: 2048
+// candidates take about 50 MB.
+const (
+	exactQueryLimit = 40
+	gsQueryLimit    = 2048
+)
 
-// exactLimitError explains an over-limit exact request.
-func exactLimitError(n int) error {
-	return fmt.Errorf("algorithm exact is limited to %d items (have %d); use another algorithm or shrink the candidate pool", exactQueryLimit, n)
+// queryLimit returns the wire name and candidate-pool cap of algo
+// (limit 0: uncapped).
+func queryLimit(algo core.Algo) (name string, limit int) {
+	switch algo {
+	case core.AlgoExact:
+		return "exact", exactQueryLimit
+	case core.AlgoGollapudiSharma:
+		return "gs", gsQueryLimit
+	}
+	return "", 0
 }
 
 // badRequestError marks a Diversify failure as the client's fault, so the
@@ -682,10 +695,11 @@ func (s *Server) Diversify(ctx context.Context, req DiversifyRequest) (*Diversif
 	if req.Lambda != nil {
 		lambda = *req.Lambda
 	}
-	// The exact-size cap is enforced against the pinned epoch's pool size,
-	// which is immutable for the duration of the solve, so a concurrent
-	// flush cannot grow the pool between check and enumeration.
-	spec := solveSpec{algo: algo, k: req.K, lambda: lambda, exactLimit: exactQueryLimit}
+	// The per-algorithm size caps (queryLimit) are enforced against the
+	// pinned epoch's pool size, which is immutable for the duration of the
+	// solve, so a concurrent flush cannot grow the pool between check and
+	// solve.
+	spec := solveSpec{algo: algo, k: req.K, lambda: lambda}
 	var res *solveResult
 	if maintained {
 		var pool []string

@@ -221,6 +221,18 @@ func TestServerBadRequests(t *testing.T) {
 	if code := post("/diversify", `{"k":3,"algorithm":"exact"}`); code != http.StatusBadRequest {
 		t.Errorf("oversized exact query: status %d, want 400", code)
 	}
+	// So is Gollapudi–Sharma past its edge budget; greedy still serves.
+	batch = make([]ItemPayload, gsQueryLimit+1-len(batch))
+	for i := range batch {
+		batch[i] = ItemPayload{ID: fmt.Sprintf("g%d", i), Weight: 1, Vector: []float64{float64(i), 2}}
+	}
+	doJSON(t, "POST", ts.URL+"/items", batch, nil)
+	if code := post("/diversify", `{"k":3,"algorithm":"gs"}`); code != http.StatusBadRequest {
+		t.Errorf("oversized gs query over %d items: status %d, want 400", gsQueryLimit+1, code)
+	}
+	if code := post("/diversify", `{"k":3,"algorithm":"greedy"}`); code != http.StatusOK {
+		t.Errorf("greedy query over %d items: status %d, want 200", gsQueryLimit+1, code)
+	}
 	// The corpus dimension is pinned across requests: a later item with a
 	// different vector dimension is rejected, matching-dimension and
 	// vectorless items still pass.
