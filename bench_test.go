@@ -512,9 +512,10 @@ func BenchmarkParallelLocalSearch_N10000_p32(b *testing.B) {
 	}
 }
 
-// The Table 3 improved greedy on the WithFloat32 backend: the opening's
-// C(n,2) pair scan dominates, read as contiguous float32 rows and split
-// across the pool by equal pair count.
+// The Table 3 improved greedy on the WithFloat32 backend, called without a
+// pair cache: every solve's pass over the C(n,2) pairs to build the pair
+// frontier dominates, read as contiguous float32 rows and split across the
+// pool by equal pair count.
 func BenchmarkParallelGreedyImproved_N2000_p10(b *testing.B) {
 	const n = 2000
 	rng := rand.New(rand.NewSource(29))

@@ -10,10 +10,13 @@
 //
 // Modes:
 //
-//	bench -out BENCH_PR3.json                 # full suite → baseline file
-//	bench -quick -out new.json                # CI's per-PR quick suite
-//	bench -quick -compare BENCH_PR3.json      # run, then gate vs baseline
-//	bench -in new.json -compare BENCH_PR3.json  # gate a saved report (no run)
+//	bench -out BENCH_PR10.json                 # full suite → baseline file
+//	bench -quick -out new.json                 # CI's per-PR quick suite
+//	bench -quick -compare BENCH_PR10.json      # run, then gate vs baseline
+//	bench -in new.json -compare BENCH_PR10.json  # gate a saved report (no run)
+//
+// Older baselines (testdata/BENCH_PR3.json..BENCH_PR9.json) stay readable
+// and diffable.
 //
 // In -compare mode the process exits 1 when any benchmark regresses past
 // the threshold: normalized latency (each report's times are divided by its

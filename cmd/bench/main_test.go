@@ -99,11 +99,12 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestBaselineIsValid guards the committed repo-root baseline: it must
+// TestBaselineIsValid guards the committed schema-v1 baseline kept under
+// testdata/: it must
 // parse, validate, and contain the acceptance pair showing the float32
 // backend faster and lighter than the float64 path at n=10k.
 func TestBaselineIsValid(t *testing.T) {
-	f, err := os.Open("../../BENCH_PR3.json")
+	f, err := os.Open("../../testdata/BENCH_PR3.json")
 	if err != nil {
 		t.Fatalf("committed baseline missing: %v", err)
 	}

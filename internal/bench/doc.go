@@ -6,7 +6,8 @@
 // across runs.
 //
 // The suite exists so that every "faster" claim in this repository is a
-// diff against a committed baseline (BENCH_PR4.json at the repo root)
+// diff against a committed baseline (BENCH_PR10.json at the repo root;
+// older ones are kept under testdata/)
 // instead of an assertion: cmd/bench runs the suite, writes the report,
 // and in -compare mode computes per-benchmark deltas against a previous
 // report, exiting nonzero when a latency or allocs/op regression exceeds

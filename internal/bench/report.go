@@ -187,11 +187,15 @@ func ReadReport(rd io.Reader) (*Report, error) {
 
 // resultOf converts a testing.Benchmark outcome.
 func resultOf(name string, b testing.BenchmarkResult) Result {
-	return Result{
+	r := Result{
 		Name:        name,
 		Iterations:  b.N,
 		NsPerOp:     float64(b.T.Nanoseconds()) / float64(b.N),
 		AllocsPerOp: b.AllocsPerOp(),
 		BytesPerOp:  b.AllocedBytesPerOp(),
 	}
+	if len(b.Extra) > 0 {
+		r.Extra = b.Extra // the probe's ReportMetric values
+	}
+	return r
 }

@@ -49,17 +49,13 @@
 // # Scan kernels
 //
 // With the modular (weight-sum) quality — the default of Index, the server
-// and every benchmark workload — the three scans the algorithms spend their
-// time in run as loops over flat slices (kernel.go) instead of one scorer
-// closure, one Evaluator and one Metric call per candidate:
+// and every benchmark workload — the two per-round scans the algorithms
+// spend their time in run as loops over flat slices (kernel.go) instead of
+// one scorer closure, one Evaluator and one Metric call per candidate:
 //
 //   - the (w, d_u) argmax of the one greedy round driver (rounds.go),
 //     which every greedy-family solve runs: a round scans each branch once
 //     for all of its growing λs (a solo solve is one branch with one λ);
-//   - the opening pair scans of the Table 3 greedy and the Section 5 local
-//     search, reading row x as a slice (DenseF32 rows directly, other
-//     backends through a per-worker scratch row) with rows sharded by equal
-//     pair count (engine.ArgMaxTriCtx), since row x holds n−1−x pairs;
 //   - the swap scan of the local search and the Section 6 update, with the
 //     p member rows staged once per pass.
 //
@@ -68,4 +64,22 @@
 // goroutine fan-out costs more than the scan it splits. Kernel and
 // evaluator paths share every score expression, so they pick the same
 // candidates bit for bit (kernel_test.go pins them to frozen references).
+//
+// # Pair openings
+//
+// The Table 3 greedy opens with the best pair under ½f({x,y}) + λd(x,y),
+// and the Section 5 local search seeds with the best independent pair
+// under f({x,y}) + λd(x,y). Both come from one λ-free pair frontier
+// (pairs.go): the pairs no earlier pair matches or beats in both
+// f({x}) + f_y({x}) and d(x,y). It holds the opening of every λ and both
+// scores, bit for bit, and is a few hundred pairs on cosine corpora. One
+// pass over the C(n,2) pairs builds it, reading row x as a slice
+// (DenseF32 rows directly, other backends through a per-worker scratch
+// row) with rows sharded by equal pair count (engine.ArgMaxTriCtx), since
+// row x holds n−1−x pairs. A per-row threshold against the frontier's
+// Pareto staircase skips almost every pair with one compare, so a pass
+// costs no more than the scan it replaced. A PairCache keeps a frontier
+// across solves (Objective.WithPairCache, CachePairs); the Index keeps one
+// per index and one per constraint it builds, so only the first opening
+// pays the pass. Without a cache each opening runs its own pass.
 package core

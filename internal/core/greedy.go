@@ -98,52 +98,6 @@ func greedySolo(obj *Objective, p int, cfg greedyCfg, oblivious, bestPair bool) 
 	return solutionFromState(st, 0), nil
 }
 
-// bestPotentialPair scans all pairs for the maximizer of ½f({x,y}) + λd(x,y),
-// sharding rows (the smaller endpoint) across the pool by equal pair count.
-// Modular quality reads each row as a slice (potPairRow); other quality
-// functions score through a per-worker evaluator. On cancellation the
-// returned pair is arbitrary; the caller checks ctx before using it.
-func bestPotentialPair(ctx context.Context, obj *Objective, pool *engine.Pool) (int, int) {
-	n := obj.N()
-	factory := func(int) engine.PairScorer {
-		ev := obj.f.NewEvaluator()
-		return func(x int) (float64, int, bool) {
-			ev.Reset()
-			ev.Add(x)
-			fx := ev.Value()
-			by, bestVal := -1, 0.0
-			for y := x + 1; y < n; y++ {
-				v := pairPotScore(fx, ev.Marginal(y), obj.lambda, obj.d.Distance(x, y))
-				if by == -1 || v > bestVal {
-					by, bestVal = y, v
-				}
-			}
-			return bestVal, by, true
-		}
-	}
-	if mod, ok := obj.f.(*setfunc.Modular); ok {
-		w := mod.Weights()
-		factory = func(int) engine.PairScorer {
-			rows := newRowReader(obj.d)
-			return func(x int) (float64, int, bool) {
-				var by int
-				var v float64
-				if rows.f32 != nil {
-					by, v = potPairRow(rows.f32.Row(x)[x+1:], w[x+1:], w[x], obj.lambda)
-				} else {
-					by, v = potPairRow(rows.row64(x), w[x+1:], w[x], obj.lambda)
-				}
-				return v, x + 1 + by, true
-			}
-		}
-	}
-	b := pool.ArgMaxTriCtx(ctx, n, kernelMinShard, factory)
-	if b.Index == -1 {
-		return 0, 1 // n < 2 never reaches here (callers check p ≥ 2 ≤ n)
-	}
-	return b.Index, b.Aux
-}
-
 // GreedyA runs the Gollapudi–Sharma algorithm the paper benchmarks against
 // (Section 7): reduce max-sum diversification with modular f to max-sum
 // dispersion under the derived metric

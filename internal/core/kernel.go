@@ -5,28 +5,27 @@ import (
 	"slices"
 
 	"maxsumdiv/internal/engine"
-	"maxsumdiv/internal/matroid"
 	"maxsumdiv/internal/metric"
 )
 
-// This file holds the slice kernels of the three scans the paper's
-// algorithms spend their time in, for the modular (weight-sum) quality:
+// This file holds the slice kernels of the two per-round scans the
+// paper's algorithms spend their time in, for the modular (weight-sum)
+// quality:
 //
 //   - the (w, d_u) argmax of the greedy family (Greedy B, the oblivious
 //     ablation, Greedy A's last pick, and every branch of a multi-λ solve);
-//   - the best-pair openings of the Table 3 greedy and the Section 5 local
-//     search, over rows of stored distances;
 //   - the (out ∈ S, in ∉ S) swap scan of the local search and the Section 6
 //     oblivious update, over the staged rows of the p members.
 //
 // With modular quality a candidate's score is one weight, one d_u(S) entry
 // and at most one stored distance, so each kernel is a loop over flat
 // slices with no closure and no interface call per candidate. Every score
-// goes through the same helpers (potScore, objScore, pairPotScore,
-// pairObjScore, swapScore) as the evaluator paths that serve non-modular
-// quality, and every selection keeps the scans' total order (best score,
-// ties to the lowest index), so kernel and evaluator paths pick the same
-// candidates bit for bit.
+// goes through the same helpers (potScore, objScore, swapScore) as the
+// evaluator paths that serve non-modular quality, and every selection
+// keeps the scans' total order (best score, ties to the lowest index), so
+// kernel and evaluator paths pick the same candidates bit for bit. The
+// best-pair openings read rows through rowReader below; their one pass
+// lives in pairs.go.
 
 // kernelMinShard is the fan-out minimum of the kernels: a scan splits
 // across the pool only when every shard scores at least this many
@@ -175,43 +174,6 @@ func (r *rowReader) row64(x int) []float64 {
 		r.buf[y] = r.d.Distance(x, y)
 	}
 	return r.buf[x+1:]
-}
-
-// potPairRow returns the offset into row (partners x+1, x+2, …) of the
-// partner maximizing pairPotScore, and its score; ties keep the lowest
-// partner. row is non-empty.
-func potPairRow[T float32 | float64](row []T, wy []float64, wx, lambda float64) (int, float64) {
-	wy = wy[:len(row)]
-	by, best := -1, 0.0
-	for i, d := range row {
-		if v := pairPotScore(wx, wy[i], lambda, float64(d)); by == -1 || v > best {
-			by, best = i, v
-		}
-	}
-	return by, best
-}
-
-// indepPairRow is potPairRow for the independent-pair seed: pairObjScore,
-// and a partner counts only if {x, y} is independent. The oracle is asked
-// only for pairs that beat both the row's incumbent and, once the worker
-// has one (taken), its best earlier row — neither could win the scan.
-// pair is the worker's 2-slot probe buffer. Returns by = -1 when no
-// partner qualifies.
-func indepPairRow[T float32 | float64](row []T, wy []float64, x int, wx, lambda float64, m matroid.Matroid, pair []int, taken bool, localBest float64) (int, float64) {
-	wy = wy[:len(row)]
-	by, rowBest := -1, 0.0
-	for i, d := range row {
-		v := pairObjScore(wx, wy[i], lambda, float64(d))
-		if (taken && v <= localBest) || (by != -1 && v <= rowBest) {
-			continue
-		}
-		pair[0], pair[1] = x, x+1+i
-		if !m.Independent(pair) {
-			continue
-		}
-		by, rowBest = i, v
-	}
-	return by, rowBest
 }
 
 // swapScore is the Section 6 swap gain φ(S − out + in) − φ(S) from its

@@ -8,7 +8,6 @@ import (
 
 	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/matroid"
-	"maxsumdiv/internal/setfunc"
 )
 
 // LSOptions configures LocalSearch. The zero value reproduces the paper's
@@ -71,6 +70,7 @@ func LocalSearch(obj *Objective, m matroid.Matroid, opts *LSOptions) (*Solution,
 	if err != nil {
 		return nil, err
 	}
+	m, _ = uncached(m) // the pair cache served the opening; swaps probe m itself
 	st := obj.AcquireState()
 	defer obj.ReleaseState(st)
 	for _, u := range start {
@@ -183,73 +183,4 @@ func initialBasis(ctx context.Context, obj *Objective, m matroid.Matroid, seed [
 		return nil, err
 	}
 	return matroid.ExtendToBasis(m, []int{x, y})
-}
-
-// bestIndependentPair returns argmax over independent pairs of
-// f({x,y}) + λ·d(x,y), the seed prescribed by Section 5, sharding rows
-// across the pool by equal pair count. The independence oracle is only
-// consulted for pairs that beat the worker's running best. Modular quality
-// reads each row as a slice (indepPairRow); other quality functions score
-// through a per-worker evaluator.
-func bestIndependentPair(ctx context.Context, obj *Objective, m matroid.Matroid, pool *engine.Pool) (int, int, error) {
-	n := obj.N()
-	factory := func(int) engine.PairScorer {
-		ev := obj.f.NewEvaluator()
-		pair := make([]int, 2)
-		taken := false
-		localBest := 0.0
-		return func(x int) (float64, int, bool) {
-			ev.Reset()
-			ev.Add(x)
-			fx := ev.Value()
-			by, rowBest := -1, 0.0
-			for y := x + 1; y < n; y++ {
-				v := pairObjScore(fx, ev.Marginal(y), obj.lambda, obj.d.Distance(x, y))
-				if (taken && v <= localBest) || (by != -1 && v <= rowBest) {
-					continue
-				}
-				pair[0], pair[1] = x, y
-				if !m.Independent(pair) {
-					continue
-				}
-				by, rowBest = y, v
-			}
-			if by == -1 {
-				return 0, 0, false
-			}
-			taken, localBest = true, rowBest
-			return rowBest, by, true
-		}
-	}
-	if mod, ok := obj.f.(*setfunc.Modular); ok {
-		w := mod.Weights()
-		factory = func(int) engine.PairScorer {
-			rows := newRowReader(obj.d)
-			pair := make([]int, 2)
-			taken := false
-			localBest := 0.0
-			return func(x int) (float64, int, bool) {
-				var by int
-				var v float64
-				if rows.f32 != nil {
-					by, v = indepPairRow(rows.f32.Row(x)[x+1:], w[x+1:], x, w[x], obj.lambda, m, pair, taken, localBest)
-				} else {
-					by, v = indepPairRow(rows.row64(x), w[x+1:], x, w[x], obj.lambda, m, pair, taken, localBest)
-				}
-				if by == -1 {
-					return 0, 0, false
-				}
-				taken, localBest = true, v
-				return v, x + 1 + by, true
-			}
-		}
-	}
-	b := pool.ArgMaxTriCtx(ctx, n, kernelMinShard, factory)
-	if err := ctxErr(ctx); err != nil {
-		return 0, 0, err
-	}
-	if b.Index == -1 {
-		return 0, 0, fmt.Errorf("core: no independent pair exists (matroid rank < 2?)")
-	}
-	return b.Index, b.Aux, nil
 }

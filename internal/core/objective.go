@@ -25,6 +25,9 @@ type Objective struct {
 	// the same metric (the Index/Query serving pattern, where λ and the
 	// quality function are per-query but the ground set is not).
 	scratch *StateCache
+	// pairs, when non-nil, holds the frontier of the openings over all
+	// pairs (WithPairCache); nil builds one per opening.
+	pairs *PairCache
 }
 
 // StateCache pools solver scratch (States) across solves — and, when shared

@@ -18,7 +18,7 @@ import (
 // (rounds.go), so a trace's prefixes are the solo solutions bit for bit.
 //
 // The best-pair opening (AlgoGreedyImproved) is the exception: its first two
-// picks come from a pair scan, so prefixes only match solo runs for k ≥ 2.
+// picks are the best pair, so prefixes only match solo runs for k ≥ 2.
 // PrefixNested encodes that rule for dispatch layers.
 type GreedyTrace struct {
 	// Order is the addition order (ground-set indices, unsorted).
@@ -76,8 +76,8 @@ type LambdaTarget struct {
 // ablation qualify: their entire trajectory is a sequence of single-element
 // argmax rounds over (weight, d_u(S)) pairs, so runs under different λ share
 // every round whose argmax coincides. The best-pair opening
-// (AlgoGreedyImproved) does not — its first two picks come from a
-// λ-dependent pair scan, so there is no shared prefix to fold.
+// (AlgoGreedyImproved) does not — its first two picks are the best pair
+// under its own λ, so there is no shared prefix to fold.
 func MultiLambdaCapable(algo Algo) bool {
 	return algo == AlgoGreedy || algo == AlgoOblivious
 }

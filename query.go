@@ -160,7 +160,6 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 			return nil, fmt.Errorf("%w: constraint covers %d, index has %d items",
 				ErrConstraintMismatch, q.Constraint.GroundSize(), ix.Len())
 		}
-		spec.Constraint = adaptConstraint(q.Constraint)
 	} else {
 		k := q.K
 		if q.ClampK && k > ix.Len() {
@@ -191,6 +190,15 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 	obj, err := core.NewObjectiveCached(quality, lambda, ix.dist, ix.scratch)
 	if err != nil {
 		return nil, wrapLambdaErr(err)
+	}
+	// Only these two open with a best pair; the frontiers serve the
+	// index's modular quality alone.
+	cached := modular != nil && (spec.Algo == core.AlgoGreedyImproved || spec.Algo == core.AlgoLocalSearch)
+	if cached {
+		obj = obj.WithPairCache(&ix.pairs)
+	}
+	if q.Constraint != nil {
+		spec.Constraint = ix.solveConstraint(q.Constraint, cached)
 	}
 
 	switch q.Parallelism {

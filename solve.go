@@ -124,7 +124,7 @@ func (p *Problem) Greedy(k int) (*Solution, error) {
 
 // GreedyImproved is Greedy opening with the best pair instead of the best
 // singleton (the paper's Table 3 variant; same guarantee, often slightly
-// better in practice, O(n²) extra work).
+// better in practice, O(n²) once per index).
 //
 // Deprecated: use Index.Query with AlgorithmGreedyImproved.
 func (p *Problem) GreedyImproved(k int) (*Solution, error) {
@@ -275,8 +275,12 @@ type Constraint interface {
 }
 
 // adaptConstraint converts the public Constraint to the internal matroid
-// interface (they are structurally identical).
+// interface (they are structurally identical). A constraint built by an
+// Index constructor converts to its bare matroid.
 func adaptConstraint(c Constraint) matroid.Matroid {
+	if ic, ok := c.(*indexConstraint); ok {
+		return ic.Matroid
+	}
 	if m, ok := c.(matroid.Matroid); ok {
 		return m
 	}
