@@ -1,7 +1,7 @@
-//lint:file-ignore SA1019 these tests deliberately exercise the deprecated Problem compatibility wrappers alongside the Index/Query API
 package maxsumdiv_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -30,6 +30,7 @@ func backendItems(n, dim int, seed int64) []maxsumdiv.Item {
 // backend — the selected sets may differ only on float32-scale ties).
 func TestWithFloat32MatchesDefault(t *testing.T) {
 	items := backendItems(120, 6, 42)
+	ctx := context.Background()
 	for _, opt := range []struct {
 		name string
 		o    maxsumdiv.Option
@@ -39,19 +40,19 @@ func TestWithFloat32MatchesDefault(t *testing.T) {
 		{"euclidean", maxsumdiv.WithEuclideanDistance()},
 		{"manhattan", maxsumdiv.WithManhattanDistance()},
 	} {
-		p64, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.4), opt.o)
+		p64, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.4), opt.o)
 		if err != nil {
 			t.Fatalf("%s: %v", opt.name, err)
 		}
-		p32, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.4), opt.o, maxsumdiv.WithFloat32())
+		p32, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.4), opt.o, maxsumdiv.WithFloat32())
 		if err != nil {
 			t.Fatalf("%s float32: %v", opt.name, err)
 		}
-		s64, err := p64.Greedy(12)
+		s64, err := p64.Query(ctx, maxsumdiv.Query{K: 12, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s32, err := p32.Greedy(12)
+		s32, err := p32.Query(ctx, maxsumdiv.Query{K: 12, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,14 +76,14 @@ func TestWithFloat32DistanceMatrix(t *testing.T) {
 		{2, 1.5, 0},
 	}
 	items := []maxsumdiv.Item{{ID: "a", Weight: 1}, {ID: "b", Weight: 0.5}, {ID: "c", Weight: 0.2}}
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithDistanceMatrix(m), maxsumdiv.WithFloat32())
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithDistanceMatrix(m), maxsumdiv.WithFloat32())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Distance(0, 2); got != 2 {
+	if got := ix.Distance(0, 2); got != 2 {
 		t.Fatalf("d(0,2) = %g, want 2", got)
 	}
-	sol, err := p.Greedy(2)
+	sol, err := ix.Query(context.Background(), maxsumdiv.Query{K: 2, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestWithFloat32DistanceMatrix(t *testing.T) {
 // cache.
 func TestWithFloat32RejectsLazy(t *testing.T) {
 	items := backendItems(10, 3, 1)
-	if _, err := maxsumdiv.NewProblem(items, maxsumdiv.WithFloat32(), maxsumdiv.WithLazyDistances()); err == nil {
+	if _, err := maxsumdiv.NewIndex(items, maxsumdiv.WithFloat32(), maxsumdiv.WithLazyDistances()); err == nil {
 		t.Fatal("WithFloat32 + WithLazyDistances did not error")
 	}
 }
@@ -104,11 +105,11 @@ func TestWithFloat32RejectsLazy(t *testing.T) {
 // DistanceCacheStats must report ok = false.
 func TestWithFloat32NoCacheStats(t *testing.T) {
 	items := backendItems(50, 4, 2)
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithFloat32())
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithFloat32())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := p.DistanceCacheStats(); ok {
+	if _, _, _, ok := ix.DistanceCacheStats(); ok {
 		t.Fatal("float32 backend reported striped-cache stats")
 	}
 }
@@ -121,11 +122,11 @@ func TestWithFloat32NoCacheStats(t *testing.T) {
 func TestDistanceCacheStatsDuringParallelSolve(t *testing.T) {
 	// Large enough that Memoize picks the striped cache (> eagerLimit).
 	items := backendItems(1200, 8, 3)
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.3), maxsumdiv.WithLazyDistances())
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.3), maxsumdiv.WithLazyDistances())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := p.DistanceCacheStats(); !ok {
+	if _, _, _, ok := ix.DistanceCacheStats(); !ok {
 		t.Fatal("expected the striped cache backend at n=1200")
 	}
 	stop := make(chan struct{})
@@ -141,7 +142,7 @@ func TestDistanceCacheStatsDuringParallelSolve(t *testing.T) {
 					return
 				default:
 				}
-				stored, computed, lookups, ok := p.DistanceCacheStats()
+				stored, computed, lookups, ok := ix.DistanceCacheStats()
 				if !ok {
 					t.Error("cache stats vanished mid-solve")
 					return
@@ -155,12 +156,12 @@ func TestDistanceCacheStatsDuringParallelSolve(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := p.Solve(24, maxsumdiv.WithParallelism(4)); err != nil {
+	if _, err := ix.Query(context.Background(), maxsumdiv.Query{K: 24, Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
-	_, computed, lookups, _ := p.DistanceCacheStats()
+	_, computed, lookups, _ := ix.DistanceCacheStats()
 	if computed == 0 || lookups < computed {
 		t.Fatalf("implausible final counters: computed=%d lookups=%d", computed, lookups)
 	}

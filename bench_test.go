@@ -7,11 +7,10 @@
 // dominates; use cmd/experiments -full for paper scale). Run with:
 //
 //	go test -bench=. -benchmem
-//
-//lint:file-ignore SA1019 these tests deliberately exercise the deprecated Problem compatibility wrappers alongside the Index/Query API
 package maxsumdiv_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -638,13 +637,14 @@ func BenchmarkPublicAPIGreedy_N200_p10(b *testing.B) {
 			Vector: []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()},
 		}
 	}
-	problem, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.3))
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.3))
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := problem.Greedy(10)
+		sol, err := ix.Query(ctx, maxsumdiv.Query{K: 10, Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

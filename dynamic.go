@@ -15,7 +15,7 @@ import (
 // decreases) or the Theorem 4 number of updates (weight decreases).
 //
 // Dynamic requires the default modular quality. It owns a private copy of
-// the problem's data; mutations go through UpdateWeight / UpdateDistance.
+// the index's data; mutations go through UpdateWeight / UpdateDistance.
 type Dynamic struct {
 	sess *dynamic.Session
 	// ids tracks item identifiers by session index; Insert appends and
@@ -29,12 +29,6 @@ type Dynamic struct {
 // Perturbation mirrors the paper's four perturbation types; returned by
 // UpdateWeight and UpdateDistance and consumed by Maintain.
 type Perturbation = dynamic.Perturbation
-
-// NewDynamic starts a dynamic session with the given initial selection
-// (typically Greedy(k).Indices, a 2-approximation).
-func (p *Problem) NewDynamic(initial []int) (*Dynamic, error) {
-	return p.ix.NewDynamic(initial)
-}
 
 // NewDynamic starts a dynamic session over the index's items with the given
 // initial selection (typically a greedy query's Indices, a

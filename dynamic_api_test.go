@@ -1,7 +1,7 @@
-//lint:file-ignore SA1019 these tests deliberately exercise the deprecated Problem compatibility wrappers alongside the Index/Query API
 package maxsumdiv_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,15 +14,15 @@ import (
 func TestDynamicInsertDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	items := randomItems(6, 42)
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.5))
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := p.Greedy(3)
+	g, err := ix.Query(context.Background(), maxsumdiv.Query{K: 3, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := p.NewDynamic(g.Indices)
+	d, err := ix.NewDynamic(g.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,27 +95,29 @@ func TestDynamicInsertDelete(t *testing.T) {
 	}
 }
 
-// TestWithClampK checks min(k, n) semantics across algorithms.
+// TestWithClampK checks Query.ClampK's min(k, n) semantics across
+// algorithms.
 func TestWithClampK(t *testing.T) {
 	items := randomItems(7, 3)
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.4))
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(99); err == nil {
-		t.Fatal("k > n without WithClampK should error")
+	ctx := context.Background()
+	if _, err := ix.Query(ctx, maxsumdiv.Query{K: 99}); err == nil {
+		t.Fatal("k > n without ClampK should error")
 	}
 	for _, algo := range []maxsumdiv.Algorithm{
 		maxsumdiv.AlgorithmGreedy, maxsumdiv.AlgorithmGreedyImproved,
 		maxsumdiv.AlgorithmGollapudiSharma, maxsumdiv.AlgorithmOblivious,
 		maxsumdiv.AlgorithmLocalSearch, maxsumdiv.AlgorithmExact,
 	} {
-		sol, err := p.Solve(99, maxsumdiv.WithAlgorithm(algo), maxsumdiv.WithClampK())
+		sol, err := ix.Query(ctx, maxsumdiv.Query{K: 99, Algorithm: algo, ClampK: true})
 		if err != nil {
 			t.Fatalf("algo %d: %v", algo, err)
 		}
-		if len(sol.Indices) != p.Len() {
-			t.Fatalf("algo %d: clamped solve returned %d items, want %d", algo, len(sol.Indices), p.Len())
+		if len(sol.Indices) != ix.Len() {
+			t.Fatalf("algo %d: clamped solve returned %d items, want %d", algo, len(sol.Indices), ix.Len())
 		}
 	}
 }
@@ -123,32 +125,32 @@ func TestWithClampK(t *testing.T) {
 // TestDistanceCacheStats checks the cache observability surface.
 func TestDistanceCacheStats(t *testing.T) {
 	items := randomItems(40, 5)
-	eager, err := maxsumdiv.NewProblem(items)
+	eager, err := maxsumdiv.NewIndex(items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, ok := eager.DistanceCacheStats(); ok {
-		t.Fatal("eager problem should not report cache stats")
+		t.Fatal("eager index should not report cache stats")
 	}
-	// Small lazy problems are promoted to dense: still no cache.
-	lazySmall, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLazyDistances())
+	// Small lazy indexes are promoted to dense: still no cache.
+	lazySmall, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLazyDistances())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, _, ok := lazySmall.DistanceCacheStats(); ok {
-		t.Fatal("small lazy problem is materialized; should not report cache stats")
+		t.Fatal("small lazy index is materialized; should not report cache stats")
 	}
 	big := randomItems(1100, 6)
-	lazy, err := maxsumdiv.NewProblem(big, maxsumdiv.WithLazyDistances())
+	lazy, err := maxsumdiv.NewIndex(big, maxsumdiv.WithLazyDistances())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lazy.Solve(4); err != nil {
+	if _, err := lazy.Query(context.Background(), maxsumdiv.Query{K: 4}); err != nil {
 		t.Fatal(err)
 	}
 	stored, computed, lookups, ok := lazy.DistanceCacheStats()
 	if !ok {
-		t.Fatal("large lazy problem should report cache stats")
+		t.Fatal("large lazy index should report cache stats")
 	}
 	if stored == 0 || computed < int64(stored) || lookups < computed {
 		t.Fatalf("implausible counters: stored=%d computed=%d lookups=%d", stored, computed, lookups)

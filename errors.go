@@ -2,10 +2,9 @@ package maxsumdiv
 
 import "errors"
 
-// Sentinel errors returned by NewIndex, NewProblem, and Index.Query (and,
-// through the deprecated Problem wrappers, every legacy entry point). Wrap
-// sites add instance detail with fmt.Errorf("%w: ...", Err...), so callers
-// branch with errors.Is:
+// Sentinel errors returned by NewIndex, Index.Query and the other Index
+// methods. Wrap sites add instance detail with fmt.Errorf("%w: ...",
+// Err...), so callers branch with errors.Is:
 //
 //	sol, err := ix.Query(ctx, maxsumdiv.Query{K: k})
 //	switch {
@@ -19,12 +18,12 @@ import "errors"
 // ctx.Err() itself, so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) work directly.
 var (
-	// ErrNoItems is returned by NewIndex and NewProblem for an empty item
-	// list.
+	// ErrNoItems is returned by NewIndex and NewVectorIndex for an empty
+	// item list.
 	ErrNoItems = errors.New("maxsumdiv: no items")
-	// ErrKOutOfRange is returned by Query and the solver wrappers when the
+	// ErrKOutOfRange is returned by Query and Index.Cardinality when the
 	// requested cardinality is negative or exceeds the item count (unless
-	// clamping was requested).
+	// Query.ClampK was set).
 	ErrKOutOfRange = errors.New("maxsumdiv: k out of range")
 	// ErrInvalidLambda marks a query or index trade-off that is negative,
 	// NaN, or infinite.
@@ -47,12 +46,18 @@ var (
 	// with an algorithm that cannot honor a general matroid (only
 	// AlgorithmLocalSearch and AlgorithmExact can).
 	ErrConstraintAlgorithm = errors.New("maxsumdiv: constraint requires AlgorithmLocalSearch or AlgorithmExact")
-	// ErrConstraintMismatch is returned when a Constraint's ground size
-	// disagrees with the index's item count.
+	// ErrConstraintMismatch is returned by Query, Index.GreedyMatroid and
+	// Index.PartitionConstraint when a Constraint's ground size (or a
+	// partition's length) disagrees with the index's item count.
 	ErrConstraintMismatch = errors.New("maxsumdiv: constraint ground size mismatch")
-	// ErrBackendConflict is returned by NewIndex when WithLazyDistances and
-	// WithFloat32 are combined; the backends are mutually exclusive.
-	ErrBackendConflict = errors.New("maxsumdiv: WithLazyDistances and WithFloat32 are mutually exclusive")
+	// ErrBackendConflict is returned by NewIndex when its options ask for
+	// more than one distance backend: WithLazyDistances with WithFloat32,
+	// or a vector backend (WithVectorBackendF32, WithVectorBackendInt8)
+	// with WithLazyDistances, WithFloat32, or any distance other than
+	// cosine (WithAngularDistance, WithEuclideanDistance,
+	// WithManhattanDistance, WithDistanceMatrix, WithDistanceFunc). The
+	// wrapped message names the conflict.
+	ErrBackendConflict = errors.New("maxsumdiv: conflicting distance backend options")
 	// ErrCandidateFilter is returned when Query.Candidates =
 	// CandidatesPreFiltered is combined with something the pre-filter cannot
 	// remap onto a candidate subset: a matroid Constraint, a custom quality

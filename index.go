@@ -50,27 +50,26 @@ type Index struct {
 	scratch *core.StateCache  // solver scratch shared across query objectives
 	pairs   core.PairCache    // pair frontier of the modular quality (unused without one)
 
-	// defaultObj evaluates with the index defaults; the deprecated Problem
-	// wrappers and the read accessors (Objective, Distance) go through it.
+	// defaultObj evaluates with the index defaults; Objective, MMR,
+	// GreedyMatroid and Knapsack go through it.
 	defaultObj *core.Objective
 }
 
 // NewIndex validates the items and options and builds the reusable index.
-// It accepts the same options as NewProblem: distance selection
-// (WithCosineDistance, WithDistanceMatrix, …), backend choice
-// (WithFloat32, WithLazyDistances), the default trade-off (WithLambda) and
-// default quality (WithQuality), plus WithDefaultParallelism for the cached
-// query pool.
+// The options select the distance (WithCosineDistance, WithDistanceMatrix,
+// …), the backend (WithFloat32, WithLazyDistances, WithVectorBackendF32, …),
+// the default trade-off (WithLambda) and default quality (WithQuality), and
+// the size of the cached query pool (WithDefaultParallelism).
 func NewIndex(items []Item, opts ...Option) (*Index, error) {
 	if len(items) == 0 {
 		return nil, ErrNoItems
 	}
-	cfg := problemCfg{lambda: 1}
+	cfg := indexCfg{lambda: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.lazy && cfg.float32 {
-		return nil, fmt.Errorf("%w: pick one backend", ErrBackendConflict)
+		return nil, fmt.Errorf("%w: WithLazyDistances and WithFloat32 are mutually exclusive", ErrBackendConflict)
 	}
 
 	dist, err := buildMetric(items, &cfg)
@@ -264,6 +263,19 @@ func (ix *Index) solveConstraint(c Constraint, cached bool) matroid.Matroid {
 		return core.CachePairs(m, ic.pairs)
 	}
 	return m
+}
+
+// checkConstraint rejects a nil constraint and one whose ground set is not
+// the index's items.
+func (ix *Index) checkConstraint(c Constraint) error {
+	if c == nil {
+		return ErrNilConstraint
+	}
+	if c.GroundSize() != ix.Len() {
+		return fmt.Errorf("%w: constraint covers %d, index has %d items",
+			ErrConstraintMismatch, c.GroundSize(), ix.Len())
+	}
+	return nil
 }
 
 // Cardinality returns the constraint |S| ≤ k (the uniform matroid). Every

@@ -1,4 +1,3 @@
-//lint:file-ignore SA1019 these tests deliberately exercise the deprecated Problem compatibility wrappers alongside the Index/Query API
 package maxsumdiv_test
 
 import (
@@ -29,8 +28,8 @@ func testItems(n, dim int, seed int64) []maxsumdiv.Item {
 }
 
 // TestIndexQueryLambdaPerCall: one Index answers different λ per query, and
-// each answer matches a dedicated Problem built with that λ — the old
-// rebuild-per-trade-off path and the new shared-backend path must agree
+// each answer matches a dedicated Index built with that λ as its default —
+// rebuilding per trade-off and overriding λ on a shared backend must agree
 // exactly.
 func TestIndexQueryLambdaPerCall(t *testing.T) {
 	items := testItems(120, 8, 1)
@@ -44,16 +43,16 @@ func TestIndexQueryLambdaPerCall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("λ=%g: %v", lambda, err)
 		}
-		p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(lambda))
+		dedicated, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(lambda))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.Greedy(10)
+		want, err := dedicated.Query(ctx, maxsumdiv.Query{K: 10, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Value != want.Value || len(got.Indices) != len(want.Indices) {
-			t.Fatalf("λ=%g: query %v (%.17g) vs problem %v (%.17g)",
+			t.Fatalf("λ=%g: query %v (%.17g) vs dedicated index %v (%.17g)",
 				lambda, got.Indices, got.Value, want.Indices, want.Value)
 		}
 		for i := range got.Indices {
@@ -304,46 +303,5 @@ func TestSharedIndexConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestProblemWrapperEquivalence: the deprecated Problem surface must return
-// exactly what the Index returns (golden compatibility for existing
-// callers).
-func TestProblemWrapperEquivalence(t *testing.T) {
-	items := testItems(90, 5, 11)
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := p.Index()
-	ctx := context.Background()
-	checks := []struct {
-		name string
-		old  func() (*maxsumdiv.Solution, error)
-		new  maxsumdiv.Query
-	}{
-		{"greedy", func() (*maxsumdiv.Solution, error) { return p.Greedy(9) },
-			maxsumdiv.Query{K: 9, Parallelism: 1}},
-		{"improved", func() (*maxsumdiv.Solution, error) { return p.GreedyImproved(9) },
-			maxsumdiv.Query{K: 9, Algorithm: maxsumdiv.AlgorithmGreedyImproved, Parallelism: 1}},
-		{"gs", func() (*maxsumdiv.Solution, error) { return p.GollapudiSharma(8) },
-			maxsumdiv.Query{K: 8, Algorithm: maxsumdiv.AlgorithmGollapudiSharma, Parallelism: 1}},
-		{"solve-localsearch", func() (*maxsumdiv.Solution, error) {
-			return p.Solve(7, maxsumdiv.WithAlgorithm(maxsumdiv.AlgorithmLocalSearch), maxsumdiv.WithParallelism(1))
-		}, maxsumdiv.Query{K: 7, Algorithm: maxsumdiv.AlgorithmLocalSearch, Parallelism: 1}},
-	}
-	for _, c := range checks {
-		oldSol, err := c.old()
-		if err != nil {
-			t.Fatalf("%s (wrapper): %v", c.name, err)
-		}
-		newSol, err := ix.Query(ctx, c.new)
-		if err != nil {
-			t.Fatalf("%s (query): %v", c.name, err)
-		}
-		if oldSol.Value != newSol.Value {
-			t.Fatalf("%s: wrapper %.17g vs query %.17g", c.name, oldSol.Value, newSol.Value)
-		}
 	}
 }

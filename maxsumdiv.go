@@ -39,34 +39,13 @@
 // Algorithms: AlgorithmGreedy (Theorem 1, the default),
 // AlgorithmGollapudiSharma (the Greedy A baseline), AlgorithmLocalSearch
 // (Theorem 2, any matroid via Query.Constraint), AlgorithmExact (small
-// instances), plus the MMR baseline and a Dynamic session implementing the
+// instances), plus the MMR baseline, the Index.GreedyMatroid and
+// Index.Knapsack heuristics, and a Dynamic session implementing the
 // Section 6 oblivious update rule.
 //
 // Failures carry typed sentinels (ErrNoItems, ErrKOutOfRange,
 // ErrNeedsModularQuality, …) — branch with errors.Is; cancelled queries
 // return ctx.Err() unwrapped.
-//
-// # Migrating from Problem
-//
-// Earlier releases exposed an immutable Problem whose λ and quality
-// function were fixed at construction, forcing servers to rebuild the
-// O(n²) distance backend whenever a query wanted a different trade-off.
-// Problem, NewProblem, Solve, Greedy, LocalSearch and friends still
-// compile — they are thin wrappers over an Index — but are deprecated:
-//
-//	p, _ := maxsumdiv.NewProblem(items, opts...)   →  ix, _ := maxsumdiv.NewIndex(items, opts...)
-//	p.Solve(k)                                     →  ix.Query(ctx, maxsumdiv.Query{K: k})
-//	p.Solve(k, WithAlgorithm(a), WithClampK())     →  ix.Query(ctx, maxsumdiv.Query{K: k, Algorithm: a, ClampK: true})
-//	p.Greedy(k)                                    →  ix.Query(ctx, maxsumdiv.Query{K: k, Parallelism: 1})
-//	p.LocalSearch(c, &LocalSearchOptions{...})     →  ix.Query(ctx, maxsumdiv.Query{Algorithm: AlgorithmLocalSearch, Constraint: c, ...})
-//	p.Exact(k)                                     →  ix.Query(ctx, maxsumdiv.Query{K: k, Algorithm: AlgorithmExact})
-//	maxsumdiv.WithLambda(λ) (per problem)          →  Query.Lambda (per query; WithLambda now sets the index default)
-//	maxsumdiv.WithQuality(f) (per problem)         →  Query.Quality (per query; WithQuality now sets the index default)
-//
-// Migrate call sites that issue more than one solve over the same items:
-// the wrappers build a full Index per NewProblem, so a per-query NewProblem
-// loop pays the backend construction every time, while one NewIndex
-// amortizes it across the stream.
 //
 // # Scaling
 //
@@ -132,24 +111,10 @@ type SetFunction interface {
 	Value(S []int) float64
 }
 
-// Problem is an immutable max-sum diversification instance over a fixed
-// item list.
-//
-// Deprecated: Problem bakes λ and the quality function into the instance,
-// so serving layers had to rebuild the distance backend per query. Use
-// NewIndex and Index.Query, which make them query-time parameters over a
-// shared backend; Problem remains as a thin wrapper (every method delegates
-// to an Index it builds at construction). See "Migrating from Problem" in
-// the package documentation.
-type Problem struct {
-	ix *Index
-}
+// Option configures NewIndex and NewVectorIndex.
+type Option func(*indexCfg)
 
-// Option configures NewIndex (and, through the deprecated wrapper,
-// NewProblem).
-type Option func(*problemCfg)
-
-type problemCfg struct {
+type indexCfg struct {
 	lambda      float64
 	distance    distanceChoice
 	matrix      [][]float64
@@ -177,35 +142,35 @@ const (
 // WithLambda sets the index-default quality/diversity trade-off λ ≥ 0
 // (default 1). Queries override it per call via Query.Lambda.
 func WithLambda(lambda float64) Option {
-	return func(c *problemCfg) { c.lambda = lambda }
+	return func(c *indexCfg) { c.lambda = lambda }
 }
 
 // WithCosineDistance uses 1 − cos(u,v) over item vectors (the paper's LETOR
 // setting). This is the default when items carry vectors.
 func WithCosineDistance() Option {
-	return func(c *problemCfg) { c.distance = distCosine }
+	return func(c *indexCfg) { c.distance = distCosine }
 }
 
 // WithAngularDistance uses arccos(cos(u,v))/π over item vectors — a true
 // metric on the same geometry as the cosine distance.
 func WithAngularDistance() Option {
-	return func(c *problemCfg) { c.distance = distAngular }
+	return func(c *indexCfg) { c.distance = distAngular }
 }
 
 // WithEuclideanDistance uses the ℓ2 distance over item vectors.
 func WithEuclideanDistance() Option {
-	return func(c *problemCfg) { c.distance = distEuclidean }
+	return func(c *indexCfg) { c.distance = distEuclidean }
 }
 
 // WithManhattanDistance uses the ℓ1 distance over item vectors.
 func WithManhattanDistance() Option {
-	return func(c *problemCfg) { c.distance = distManhattan }
+	return func(c *indexCfg) { c.distance = distManhattan }
 }
 
 // WithDistanceMatrix supplies an explicit symmetric distance matrix indexed
 // like the item slice.
 func WithDistanceMatrix(m [][]float64) Option {
-	return func(c *problemCfg) {
+	return func(c *indexCfg) {
 		c.distance = distMatrix
 		c.matrix = m
 	}
@@ -216,7 +181,7 @@ func WithDistanceMatrix(m [][]float64) Option {
 // memoized on demand under WithLazyDistances), and must be symmetric with
 // zero diagonal.
 func WithDistanceFunc(f func(i, j int) float64) Option {
-	return func(c *problemCfg) {
+	return func(c *indexCfg) {
 		c.distance = distFunc
 		c.fn = f
 	}
@@ -234,14 +199,14 @@ func WithDistanceFunc(f func(i, j int) float64) Option {
 // unsynchronized map is not). Set Query.Parallelism to 1 to keep a stateful
 // f on a single goroutine.
 func WithQuality(f SetFunction) Option {
-	return func(c *problemCfg) { c.quality = f }
+	return func(c *indexCfg) { c.quality = f }
 }
 
 // WithDefaultParallelism sets how many scan workers the index's cached pool
 // runs: 1 means serial queries by default, k ≤ 0 (the default) selects
 // GOMAXPROCS. Query.Parallelism overrides per call.
 func WithDefaultParallelism(k int) Option {
-	return func(c *problemCfg) { c.parallelism = k }
+	return func(c *indexCfg) { c.parallelism = k }
 }
 
 // WithLazyDistances skips materializing the configured distance into a
@@ -254,7 +219,7 @@ func WithDefaultParallelism(k int) Option {
 // already materialized. With WithDistanceFunc, the supplied function must
 // be safe for concurrent calls when combined with parallel solving.
 func WithLazyDistances() Option {
-	return func(c *problemCfg) { c.lazy = true }
+	return func(c *indexCfg) { c.lazy = true }
 }
 
 // WithFloat32 materializes the configured distance into a flat-row float32
@@ -272,7 +237,7 @@ func WithLazyDistances() Option {
 // want WithFloat32, one-shot small-k greedy on a huge corpus wants the lazy
 // cache). NewIndex rejects the combination with ErrBackendConflict.
 func WithFloat32() Option {
-	return func(c *problemCfg) { c.float32 = true }
+	return func(c *indexCfg) { c.float32 = true }
 }
 
 // WithVectorBackendF32 stores only the item vectors as flat float32
@@ -290,7 +255,7 @@ func WithFloat32() Option {
 // Query.Candidates = CandidatesPreFiltered so scans touch O(candidates·k)
 // work instead of O(n·k).
 func WithVectorBackendF32() Option {
-	return func(c *problemCfg) { c.vecKind = metric.KindVecF32 }
+	return func(c *indexCfg) { c.vecKind = metric.KindVecF32 }
 }
 
 // WithVectorBackendInt8 is WithVectorBackendF32 with int8-quantized vectors
@@ -300,36 +265,19 @@ func WithVectorBackendF32() Option {
 // selection tolerates at typical dimensions. Same option conflicts as
 // WithVectorBackendF32.
 func WithVectorBackendInt8() Option {
-	return func(c *problemCfg) { c.vecKind = metric.KindVecInt8 }
+	return func(c *indexCfg) { c.vecKind = metric.KindVecInt8 }
 }
 
 // WithMetricValidation makes NewIndex verify the triangle inequality over
 // all triples (O(n³); intended for tests and small instances). Construction
 // fails with a descriptive error when the distance is not a metric.
 func WithMetricValidation() Option {
-	return func(c *problemCfg) { c.validate = true }
+	return func(c *indexCfg) { c.validate = true }
 }
-
-// NewProblem validates the items and options and builds a Problem.
-//
-// Deprecated: use NewIndex. NewProblem builds a full Index per call, so a
-// per-query NewProblem loop re-pays the O(n²) backend construction that an
-// Index amortizes across queries.
-func NewProblem(items []Item, opts ...Option) (*Problem, error) {
-	ix, err := NewIndex(items, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Problem{ix: ix}, nil
-}
-
-// Index returns the reusable index backing this problem; new code should
-// query it directly.
-func (p *Problem) Index() *Index { return p.ix }
 
 // buildMetric materializes the configured distance into a dense matrix, or
 // wraps it in the lazy memoizing cache under WithLazyDistances.
-func buildMetric(items []Item, cfg *problemCfg) (metric.Metric, error) {
+func buildMetric(items []Item, cfg *indexCfg) (metric.Metric, error) {
 	choice := cfg.distance
 	if choice == distAuto {
 		if len(items[0].Vector) > 0 {
@@ -339,8 +287,11 @@ func buildMetric(items []Item, cfg *problemCfg) (metric.Metric, error) {
 		}
 	}
 	if cfg.vecKind != "" {
-		if cfg.lazy || cfg.float32 {
-			return nil, fmt.Errorf("%w: pick one backend", ErrBackendConflict)
+		if cfg.lazy {
+			return nil, fmt.Errorf("%w: vector backends exclude WithLazyDistances", ErrBackendConflict)
+		}
+		if cfg.float32 {
+			return nil, fmt.Errorf("%w: vector backends exclude WithFloat32", ErrBackendConflict)
 		}
 		if choice != distCosine {
 			return nil, fmt.Errorf("%w: vector backends compute the cosine distance only", ErrBackendConflict)
@@ -448,25 +399,3 @@ type adaptedQuality struct {
 
 func (a *adaptedQuality) GroundSize() int       { return a.n }
 func (a *adaptedQuality) Value(S []int) float64 { return a.fn.Value(S) }
-
-// Len returns the number of items.
-func (p *Problem) Len() int { return p.ix.Len() }
-
-// Lambda returns the configured trade-off.
-func (p *Problem) Lambda() float64 { return p.ix.Lambda() }
-
-// Items returns a copy of the item list.
-func (p *Problem) Items() []Item { return p.ix.Items() }
-
-// Distance returns the (materialized) distance between items i and j.
-func (p *Problem) Distance(i, j int) float64 { return p.ix.Distance(i, j) }
-
-// Objective evaluates φ(S) for item indices S.
-func (p *Problem) Objective(S []int) float64 { return p.ix.Objective(S) }
-
-// DistanceCacheStats reports the memoizing distance backend's counters when
-// the problem was built with WithLazyDistances; see
-// Index.DistanceCacheStats.
-func (p *Problem) DistanceCacheStats() (stored int, computed, lookups int64, ok bool) {
-	return p.ix.DistanceCacheStats()
-}

@@ -1,6 +1,8 @@
 package maxsumdiv
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,35 +39,35 @@ func matrixItems(n int, rng *rand.Rand) ([]Item, [][]float64) {
 	return items, m
 }
 
-func TestNewProblemValidation(t *testing.T) {
+func TestNewIndexValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := NewProblem(nil); err == nil {
+	if _, err := NewIndex(nil); err == nil {
 		t.Error("empty items accepted")
 	}
 	// No vectors and no explicit distance.
-	if _, err := NewProblem([]Item{{ID: "x", Weight: 1}}); err == nil {
+	if _, err := NewIndex([]Item{{ID: "x", Weight: 1}}); err == nil {
 		t.Error("vectorless items without explicit distance accepted")
 	}
 	// Negative weight.
-	if _, err := NewProblem([]Item{{ID: "x", Weight: -1, Vector: []float64{1}}}); err == nil {
+	if _, err := NewIndex([]Item{{ID: "x", Weight: -1, Vector: []float64{1}}}); err == nil {
 		t.Error("negative weight accepted")
 	}
 	// Negative lambda.
-	if _, err := NewProblem(testItems(3, rng), WithLambda(-1)); err == nil {
+	if _, err := NewIndex(testItems(3, rng), WithLambda(-1)); err == nil {
 		t.Error("negative lambda accepted")
 	}
 	// Matrix size mismatch.
 	items, m := matrixItems(4, rng)
-	if _, err := NewProblem(items[:3], WithDistanceMatrix(m)); err == nil {
+	if _, err := NewIndex(items[:3], WithDistanceMatrix(m)); err == nil {
 		t.Error("matrix size mismatch accepted")
 	}
 	// Mixed: vector distance but an item without vectors.
 	mixed := []Item{{ID: "a", Vector: []float64{1}}, {ID: "b"}}
-	if _, err := NewProblem(mixed, WithCosineDistance()); err == nil {
+	if _, err := NewIndex(mixed, WithCosineDistance()); err == nil {
 		t.Error("missing vector accepted")
 	}
 	// Nil distance func.
-	if _, err := NewProblem(items, WithDistanceFunc(nil)); err == nil {
+	if _, err := NewIndex(items, WithDistanceFunc(nil)); err == nil {
 		t.Error("nil distance func accepted")
 	}
 	// Metric validation catches violations.
@@ -75,34 +77,34 @@ func TestNewProblemValidation(t *testing.T) {
 		}
 		return 1
 	}
-	if _, err := NewProblem(items, WithDistanceFunc(bad), WithMetricValidation()); err == nil {
+	if _, err := NewIndex(items, WithDistanceFunc(bad), WithMetricValidation()); err == nil {
 		t.Error("non-metric accepted under WithMetricValidation")
 	}
-	if _, err := NewProblem(items, WithDistanceFunc(bad)); err != nil {
+	if _, err := NewIndex(items, WithDistanceFunc(bad)); err != nil {
 		t.Error("non-metric rejected without WithMetricValidation")
 	}
 }
 
-func TestProblemAccessors(t *testing.T) {
+func TestIndexAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	items, m := matrixItems(5, rng)
-	p, err := NewProblem(items, WithDistanceMatrix(m), WithLambda(0.3), WithMetricValidation())
+	ix, err := NewIndex(items, WithDistanceMatrix(m), WithLambda(0.3), WithMetricValidation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 5 || p.Lambda() != 0.3 {
+	if ix.Len() != 5 || ix.Lambda() != 0.3 {
 		t.Error("accessors wrong")
 	}
-	if got := p.Distance(0, 1); got != m[0][1] {
+	if got := ix.Distance(0, 1); got != m[0][1] {
 		t.Errorf("Distance = %g, want %g", got, m[0][1])
 	}
-	cp := p.Items()
+	cp := ix.Items()
 	cp[0].Weight = 999
-	if p.Items()[0].Weight == 999 {
+	if ix.Items()[0].Weight == 999 {
 		t.Error("Items returned shared storage")
 	}
 	want := items[0].Weight + items[1].Weight + 0.3*m[0][1]
-	if got := p.Objective([]int{0, 1}); math.Abs(got-want) > 1e-12 {
+	if got := ix.Objective([]int{0, 1}); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Objective = %g, want %g", got, want)
 	}
 }
@@ -124,32 +126,33 @@ func TestDistanceChoices(t *testing.T) {
 		{"manhattan", WithManhattanDistance(), 2},
 	}
 	for _, tc := range cases {
-		p, err := NewProblem(items, tc.opt)
+		ix, err := NewIndex(items, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := p.Distance(0, 1); math.Abs(got-tc.d01) > 1e-12 {
+		if got := ix.Distance(0, 1); math.Abs(got-tc.d01) > 1e-12 {
 			t.Errorf("%s: d(0,1) = %g, want %g", tc.name, got, tc.d01)
 		}
 	}
 	// Default (vectors present) is cosine.
-	p, err := NewProblem(items)
+	ix, err := NewIndex(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Distance(0, 1); math.Abs(got-1) > 1e-12 {
+	if got := ix.Distance(0, 1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("default distance = %g, want cosine (1)", got)
 	}
 }
 
 func TestGreedySolvers(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	items, m := matrixItems(12, rng)
-	p, err := NewProblem(items, WithDistanceMatrix(m), WithLambda(0.2))
+	ix, err := NewIndex(items, WithDistanceMatrix(m), WithLambda(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := p.Greedy(4)
+	g, err := ix.Query(ctx, Query{K: 4, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,18 +162,18 @@ func TestGreedySolvers(t *testing.T) {
 	if math.Abs(g.Value-(g.Quality+0.2*g.Dispersion)) > 1e-9 {
 		t.Error("Value ≠ Quality + λ·Dispersion")
 	}
-	if math.Abs(g.Value-p.Objective(g.Indices)) > 1e-9 {
+	if math.Abs(g.Value-ix.Objective(g.Indices)) > 1e-9 {
 		t.Error("reported value disagrees with Objective")
 	}
-	gi, err := p.GreedyImproved(4)
+	gi, err := ix.Query(ctx, Query{K: 4, Algorithm: AlgorithmGreedyImproved, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := p.GollapudiSharma(4)
+	gs, err := ix.Query(ctx, Query{K: 4, Algorithm: AlgorithmGollapudiSharma, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := p.Exact(4)
+	opt, err := ix.Query(ctx, Query{K: 4, Algorithm: AlgorithmExact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +205,14 @@ func (c customQuality) Value(S []int) float64 {
 }
 
 func TestCustomQuality(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(4))
 	items, m := matrixItems(8, rng)
-	p, err := NewProblem(items, WithDistanceMatrix(m), WithQuality(customQuality{n: 8}))
+	ix, err := NewIndex(items, WithDistanceMatrix(m), WithQuality(customQuality{n: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := p.Greedy(4)
+	g, err := ix.Query(ctx, Query{K: 4, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +220,13 @@ func TestCustomQuality(t *testing.T) {
 		t.Errorf("Quality = %g, want 3 (capped)", g.Quality)
 	}
 	// Modular-only solvers must refuse.
-	if _, err := p.GollapudiSharma(3); err == nil {
+	if _, err := ix.Query(ctx, Query{K: 3, Algorithm: AlgorithmGollapudiSharma, Parallelism: 1}); err == nil {
 		t.Error("GollapudiSharma accepted custom quality")
 	}
-	if _, err := p.MMR(0.5, 3); err == nil {
+	if _, err := ix.MMR(0.5, 3); err == nil {
 		t.Error("MMR accepted custom quality")
 	}
-	if _, err := p.NewDynamic([]int{0}); err == nil {
+	if _, err := ix.NewDynamic([]int{0}); err == nil {
 		t.Error("Dynamic accepted custom quality")
 	}
 }
@@ -234,28 +238,29 @@ func (badQuality) Value(S []int) float64 { return float64(len(S)) + 1 }
 func TestUnnormalizedQualityRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items, m := matrixItems(4, rng)
-	if _, err := NewProblem(items, WithDistanceMatrix(m), WithQuality(badQuality{})); err == nil {
+	if _, err := NewIndex(items, WithDistanceMatrix(m), WithQuality(badQuality{})); err == nil {
 		t.Error("unnormalized quality accepted")
 	}
 }
 
 func TestLocalSearchAndConstraints(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(6))
 	items, m := matrixItems(10, rng)
-	p, err := NewProblem(items, WithDistanceMatrix(m), WithLambda(0.5))
+	ix, err := NewIndex(items, WithDistanceMatrix(m), WithLambda(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	card, err := p.Cardinality(4)
+	card, err := ix.Cardinality(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := p.LocalSearch(card, nil)
+	ls, err := ix.Query(ctx, Query{Algorithm: AlgorithmLocalSearch, Constraint: card, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := p.ExactMatroid(card)
+	opt, err := ix.Query(ctx, Query{Algorithm: AlgorithmExact, Constraint: card})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +270,11 @@ func TestLocalSearchAndConstraints(t *testing.T) {
 
 	// Partition constraint.
 	partOf := []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1}
-	part, err := p.PartitionConstraint(partOf, []int{2, 2})
+	part, err := ix.PartitionConstraint(partOf, []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := p.LocalSearch(part, &LocalSearchOptions{MaxSwaps: 50})
+	sol, err := ix.Query(ctx, Query{Algorithm: AlgorithmLocalSearch, Constraint: part, MaxSwaps: 50, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +290,11 @@ func TestLocalSearchAndConstraints(t *testing.T) {
 	}
 
 	// Transversal constraint.
-	tv, err := p.TransversalConstraint([][]int{{0, 1, 2}, {2, 3}, {5, 6}})
+	tv, err := ix.TransversalConstraint([][]int{{0, 1, 2}, {2, 3}, {5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err = p.LocalSearch(tv, nil)
+	sol, err = ix.Query(ctx, Query{Algorithm: AlgorithmLocalSearch, Constraint: tv, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +303,7 @@ func TestLocalSearchAndConstraints(t *testing.T) {
 	}
 
 	// Truncation.
-	trunc, err := p.TruncatedConstraint(part, 3)
+	trunc, err := ix.TruncatedConstraint(part, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +312,7 @@ func TestLocalSearchAndConstraints(t *testing.T) {
 	}
 
 	// Greedy under matroid (heuristic).
-	gm, err := p.GreedyMatroid(part)
+	gm, err := ix.GreedyMatroid(part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,25 +321,25 @@ func TestLocalSearchAndConstraints(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := p.LocalSearch(nil, nil); err == nil {
-		t.Error("nil constraint accepted")
-	}
-	if _, err := p.GreedyMatroid(nil); err == nil {
+	if _, err := ix.GreedyMatroid(nil); err == nil {
 		t.Error("nil constraint accepted by GreedyMatroid")
 	}
-	if _, err := p.ExactMatroid(nil); err == nil {
-		t.Error("nil constraint accepted by ExactMatroid")
+	if _, err := ix.GreedyMatroid(everyOther{n: 7}); !errors.Is(err, ErrConstraintMismatch) {
+		t.Errorf("GreedyMatroid over 7 of 10 items: %v, want ErrConstraintMismatch", err)
 	}
-	if _, err := p.Cardinality(-1); err == nil {
+	if _, err := ix.TruncatedConstraint(nil, 3); !errors.Is(err, ErrNilConstraint) {
+		t.Errorf("TruncatedConstraint(nil): %v, want ErrNilConstraint", err)
+	}
+	if _, err := ix.Cardinality(-1); err == nil {
 		t.Error("negative cardinality accepted")
 	}
-	if _, err := p.PartitionConstraint([]int{0}, []int{1}); err == nil {
+	if _, err := ix.PartitionConstraint([]int{0}, []int{1}); err == nil {
 		t.Error("short partOf accepted")
 	}
-	if _, err := p.TransversalConstraint([][]int{{99}}); err == nil {
+	if _, err := ix.TransversalConstraint([][]int{{99}}); err == nil {
 		t.Error("out-of-range transversal accepted")
 	}
-	if _, err := p.TruncatedConstraint(part, -1); err == nil {
+	if _, err := ix.TruncatedConstraint(part, -1); err == nil {
 		t.Error("negative truncation accepted")
 	}
 }
@@ -357,8 +362,8 @@ func (e everyOther) Rank() int { return (e.n + 1) / 2 }
 func TestCustomConstraintAdapter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	items, m := matrixItems(8, rng)
-	p, _ := NewProblem(items, WithDistanceMatrix(m))
-	sol, err := p.LocalSearch(everyOther{n: 8}, nil)
+	ix, _ := NewIndex(items, WithDistanceMatrix(m))
+	sol, err := ix.Query(context.Background(), Query{Algorithm: AlgorithmLocalSearch, Constraint: everyOther{n: 8}, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,31 +380,32 @@ func TestCustomConstraintAdapter(t *testing.T) {
 func TestMMRPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	items, m := matrixItems(9, rng)
-	p, _ := NewProblem(items, WithDistanceMatrix(m))
-	sol, err := p.MMR(0.7, 3)
+	ix, _ := NewIndex(items, WithDistanceMatrix(m))
+	sol, err := ix.MMR(0.7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sol.Indices) != 3 {
 		t.Fatalf("MMR returned %d items", len(sol.Indices))
 	}
-	if math.Abs(sol.Value-p.Objective(sol.Indices)) > 1e-9 {
+	if math.Abs(sol.Value-ix.Objective(sol.Indices)) > 1e-9 {
 		t.Error("MMR solution value inconsistent")
 	}
-	if _, err := p.MMR(2, 3); err == nil {
+	if _, err := ix.MMR(2, 3); err == nil {
 		t.Error("lambda > 1 accepted")
 	}
 }
 
 func TestDynamicPublic(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
 	items, m := matrixItems(10, rng)
-	p, err := NewProblem(items, WithDistanceMatrix(m), WithLambda(0.4))
+	ix, err := NewIndex(items, WithDistanceMatrix(m), WithLambda(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _ := p.Greedy(4)
-	dyn, err := p.NewDynamic(g.Indices)
+	g, _ := ix.Query(ctx, Query{K: 4, Parallelism: 1})
+	dyn, err := ix.NewDynamic(g.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,28 +456,32 @@ func TestDynamicPublic(t *testing.T) {
 	}
 	dyn.Update() // no assertion: may or may not swap
 
-	// The problem's own data must be untouched (session owns a copy).
-	if p.Distance(0, 1) != m[0][1] {
-		t.Error("dynamic session mutated the problem's metric")
+	// The index's own data must be untouched (session owns a copy).
+	if ix.Distance(0, 1) != m[0][1] {
+		t.Error("dynamic session mutated the index's metric")
 	}
 	if _, err := dyn.UpdateWeight(-1, 1); err == nil {
 		t.Error("bad index accepted")
 	}
-	if _, err := p.NewDynamic([]int{0, 0}); err == nil {
+	if _, err := ix.NewDynamic([]int{0, 0}); err == nil {
 		t.Error("duplicate initial selection accepted")
 	}
 }
 
 func TestLocalSearchOptionsPlumbed(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(10))
 	items, m := matrixItems(20, rng)
-	p, _ := NewProblem(items, WithDistanceMatrix(m), WithLambda(0.2))
-	card, _ := p.Cardinality(5)
-	g, _ := p.Greedy(5)
-	sol, err := p.LocalSearch(card, &LocalSearchOptions{
-		Init:       g.Indices,
-		TimeBudget: time.Second,
-		MaxSwaps:   3,
+	ix, _ := NewIndex(items, WithDistanceMatrix(m), WithLambda(0.2))
+	card, _ := ix.Cardinality(5)
+	g, _ := ix.Query(ctx, Query{K: 5, Parallelism: 1})
+	sol, err := ix.Query(ctx, Query{
+		Algorithm:   AlgorithmLocalSearch,
+		Constraint:  card,
+		Init:        g.Indices,
+		TimeBudget:  time.Second,
+		MaxSwaps:    3,
+		Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
-//lint:file-ignore SA1019 these tests deliberately exercise the deprecated Problem compatibility wrappers alongside the Index/Query API
 package maxsumdiv_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -42,16 +42,16 @@ func propGen(maxN int) func(args []reflect.Value, rng *rand.Rand) {
 	}
 }
 
-func newProblem(t testing.TB, in propInstance) *maxsumdiv.Problem {
-	p, err := maxsumdiv.NewProblem(in.items, maxsumdiv.WithLambda(in.lambda))
+func newProblem(t testing.TB, in propInstance) *maxsumdiv.Index {
+	ix, err := maxsumdiv.NewIndex(in.items, maxsumdiv.WithLambda(in.lambda))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return ix
 }
 
 // Property: every solver returns exactly min(k, n) items, sorted, in-range
-// and duplicate-free, under WithClampK.
+// and duplicate-free, under Query.ClampK.
 func TestPropertySolversReturnMinKN(t *testing.T) {
 	algos := []maxsumdiv.Algorithm{
 		maxsumdiv.AlgorithmGreedy, maxsumdiv.AlgorithmGreedyImproved,
@@ -60,14 +60,14 @@ func TestPropertySolversReturnMinKN(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 30, Values: propGen(8)}
 	property := func(in propInstance) bool {
-		p := newProblem(t, in)
+		ix := newProblem(t, in)
 		n := len(in.items)
 		want := in.k
 		if want > n {
 			want = n
 		}
 		for _, algo := range algos {
-			sol, err := p.Solve(in.k, maxsumdiv.WithAlgorithm(algo), maxsumdiv.WithClampK())
+			sol, err := ix.Query(context.Background(), maxsumdiv.Query{K: in.k, Algorithm: algo, ClampK: true})
 			if err != nil {
 				t.Logf("algo %d: %v", algo, err)
 				return false
@@ -101,17 +101,18 @@ func TestPropertyObjectiveMonotoneUnderInserts(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20, Values: propGen(6)}
 	property := func(in propInstance) bool {
 		rng := rand.New(rand.NewSource(in.seed))
+		ctx := context.Background()
 		const k = 3
 		// Start from a prefix of ≥ 1 item and insert the rest one at a time.
 		for cut := 1; cut < len(in.items); cut++ {
 			prefix := in.items[:cut]
-			p := mustProblem(t, prefix, in.lambda)
-			prev, err := p.Solve(k, maxsumdiv.WithClampK(), maxsumdiv.WithAlgorithm(maxsumdiv.AlgorithmExact))
+			ix := mustProblem(t, prefix, in.lambda)
+			prev, err := ix.Query(ctx, maxsumdiv.Query{K: k, Algorithm: maxsumdiv.AlgorithmExact, ClampK: true})
 			if err != nil {
 				return false
 			}
 			next := mustProblem(t, in.items[:cut+1], in.lambda)
-			cur, err := next.Solve(k, maxsumdiv.WithClampK(), maxsumdiv.WithAlgorithm(maxsumdiv.AlgorithmExact))
+			cur, err := next.Query(ctx, maxsumdiv.Query{K: k, Algorithm: maxsumdiv.AlgorithmExact, ClampK: true})
 			if err != nil {
 				return false
 			}
@@ -121,8 +122,8 @@ func TestPropertyObjectiveMonotoneUnderInserts(t *testing.T) {
 			}
 		}
 		// Dynamic session: maintained φ(S) is monotone under inserts.
-		p := mustProblem(t, in.items[:1], in.lambda)
-		d, err := p.NewDynamic([]int{0})
+		ix := mustProblem(t, in.items[:1], in.lambda)
+		d, err := ix.NewDynamic([]int{0})
 		if err != nil {
 			return false
 		}
@@ -158,19 +159,20 @@ func TestPropertyObjectiveMonotoneUnderInserts(t *testing.T) {
 func TestPropertyApproximationFactor(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30, Values: propGen(8)}
 	property := func(in propInstance) bool {
-		p := newProblem(t, in)
+		ix := newProblem(t, in)
+		ctx := context.Background()
 		k := in.k
 		if k > len(in.items) {
 			k = len(in.items)
 		}
-		opt, err := p.Solve(k, maxsumdiv.WithAlgorithm(maxsumdiv.AlgorithmExact))
+		opt, err := ix.Query(ctx, maxsumdiv.Query{K: k, Algorithm: maxsumdiv.AlgorithmExact})
 		if err != nil {
 			return false
 		}
 		for _, algo := range []maxsumdiv.Algorithm{
 			maxsumdiv.AlgorithmGreedy, maxsumdiv.AlgorithmLocalSearch,
 		} {
-			sol, err := p.Solve(k, maxsumdiv.WithAlgorithm(algo))
+			sol, err := ix.Query(ctx, maxsumdiv.Query{K: k, Algorithm: algo})
 			if err != nil {
 				return false
 			}
@@ -187,10 +189,10 @@ func TestPropertyApproximationFactor(t *testing.T) {
 	}
 }
 
-func mustProblem(t testing.TB, items []maxsumdiv.Item, lambda float64) *maxsumdiv.Problem {
-	p, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(lambda))
+func mustProblem(t testing.TB, items []maxsumdiv.Item, lambda float64) *maxsumdiv.Index {
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(lambda))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return ix
 }

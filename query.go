@@ -144,32 +144,23 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 	if q.Candidates == CandidatesPreFiltered {
 		return ix.queryPreFiltered(ctx, q)
 	}
-	spec := core.Spec{Ctx: ctx}
-
 	algo, err := coreAlgo(q.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	spec.Algo = algo
-
 	if q.Constraint != nil {
-		if spec.Algo != core.AlgoLocalSearch && spec.Algo != core.AlgoExact {
+		if algo != core.AlgoLocalSearch && algo != core.AlgoExact {
 			return nil, ErrConstraintAlgorithm
 		}
-		if q.Constraint.GroundSize() != ix.Len() {
-			return nil, fmt.Errorf("%w: constraint covers %d, index has %d items",
-				ErrConstraintMismatch, q.Constraint.GroundSize(), ix.Len())
+		if err := ix.checkConstraint(q.Constraint); err != nil {
+			return nil, err
 		}
-	} else {
-		k := q.K
-		if q.ClampK && k > ix.Len() {
-			k = ix.Len()
-		}
-		if k < 0 || k > ix.Len() {
-			return nil, fmt.Errorf("%w: k = %d with %d items", ErrKOutOfRange, q.K, ix.Len())
-		}
-		spec.K = k
 	}
+	spec, lambda, err := ix.resolve(ctx, q, algo)
+	if err != nil {
+		return nil, err
+	}
+	spec.Init = q.Init
 
 	quality, modular := ix.quality, ix.modular
 	if q.Quality != nil {
@@ -183,10 +174,6 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 		return nil, ErrNeedsModularQuality
 	}
 
-	lambda := ix.lambda
-	if q.Lambda != nil {
-		lambda = *q.Lambda
-	}
 	obj, err := core.NewObjectiveCached(quality, lambda, ix.dist, ix.scratch)
 	if err != nil {
 		return nil, wrapLambdaErr(err)
@@ -201,6 +188,38 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 		spec.Constraint = ix.solveConstraint(q.Constraint, cached)
 	}
 
+	sol, err := core.Solve(obj, spec)
+	if err != nil {
+		return nil, err
+	}
+	return ix.wrap(sol), nil
+}
+
+// resolve turns the request fields both scan scopes share into the solver
+// spec and the λ to solve with: K after ClampK and its range check (skipped
+// under a Constraint, whose rank fixes the size), the scan pool that
+// Parallelism selects, and the local-search limits. Init stays with the
+// caller, which may remap it; the caller also orders its own checks around
+// this call, so each scope keeps its error precedence.
+func (ix *Index) resolve(ctx context.Context, q Query, algo core.Algo) (core.Spec, float64, error) {
+	spec := core.Spec{
+		Algo:       algo,
+		Ctx:        ctx,
+		MaxSwaps:   q.MaxSwaps,
+		TimeBudget: q.TimeBudget,
+		MinGain:    q.MinGain,
+		RelEps:     q.RelEps,
+	}
+	if q.Constraint == nil {
+		k := q.K
+		if q.ClampK && k > ix.Len() {
+			k = ix.Len()
+		}
+		if k < 0 || k > ix.Len() {
+			return spec, 0, fmt.Errorf("%w: k = %d with %d items", ErrKOutOfRange, q.K, ix.Len())
+		}
+		spec.K = k
+	}
 	switch q.Parallelism {
 	case 0:
 		spec.Pool = ix.pool
@@ -209,16 +228,11 @@ func (ix *Index) Query(ctx context.Context, q Query) (*Solution, error) {
 	default:
 		spec.Pool = engine.New(q.Parallelism)
 	}
-	spec.Init = q.Init
-	spec.MaxSwaps = q.MaxSwaps
-	spec.MinGain, spec.RelEps = q.MinGain, q.RelEps
-	spec.TimeBudget = q.TimeBudget
-
-	sol, err := core.Solve(obj, spec)
-	if err != nil {
-		return nil, err
+	lambda := ix.lambda
+	if q.Lambda != nil {
+		lambda = *q.Lambda
 	}
-	return ix.wrap(sol), nil
+	return spec, lambda, nil
 }
 
 // queryPreFiltered solves a query over a random-projection candidate subset
@@ -245,13 +259,11 @@ func (ix *Index) queryPreFiltered(ctx context.Context, q Query) (*Solution, erro
 	if ix.filter == nil {
 		return nil, fmt.Errorf("%w: items carry no vectors", ErrCandidateFilter)
 	}
-	k := q.K
-	if q.ClampK && k > ix.Len() {
-		k = ix.Len()
+	spec, lambda, err := ix.resolve(ctx, q, algo)
+	if err != nil {
+		return nil, err
 	}
-	if k < 0 || k > ix.Len() {
-		return nil, fmt.Errorf("%w: k = %d with %d items", ErrKOutOfRange, q.K, ix.Len())
-	}
+	k := spec.K
 	if k == 0 {
 		// Nothing to pick: answer as the exact scan does, sketch untouched.
 		q.Candidates = CandidatesExact
@@ -295,22 +307,9 @@ func (ix *Index) queryPreFiltered(ctx context.Context, q Query) (*Solution, erro
 	view := metric.Func{N: m, F: func(i, j int) float64 {
 		return ix.dist.Distance(cands[i], cands[j])
 	}}
-	lambda := ix.lambda
-	if q.Lambda != nil {
-		lambda = *q.Lambda
-	}
 	obj, err := core.NewObjective(mod, lambda, view)
 	if err != nil {
 		return nil, wrapLambdaErr(err)
-	}
-	spec := core.Spec{Algo: algo, K: k, Ctx: ctx}
-	switch q.Parallelism {
-	case 0:
-		spec.Pool = ix.pool
-	case 1:
-		spec.Pool = nil
-	default:
-		spec.Pool = engine.New(q.Parallelism)
 	}
 	if len(q.Init) > 0 {
 		posOf := make(map[int]int, m)
@@ -323,9 +322,6 @@ func (ix *Index) queryPreFiltered(ctx context.Context, q Query) (*Solution, erro
 		}
 		spec.Init = init
 	}
-	spec.MaxSwaps = q.MaxSwaps
-	spec.MinGain, spec.RelEps = q.MinGain, q.RelEps
-	spec.TimeBudget = q.TimeBudget
 
 	sol, err := core.Solve(obj, spec)
 	if err != nil {

@@ -1,9 +1,7 @@
 package maxsumdiv
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"maxsumdiv/internal/core"
 	"maxsumdiv/internal/matroid"
@@ -25,8 +23,7 @@ type Solution struct {
 	Swaps int
 }
 
-// Algorithm selects the solver a Query (or the deprecated Solve) dispatches
-// to.
+// Algorithm selects the solver a Query dispatches to.
 type Algorithm int
 
 const (
@@ -50,181 +47,35 @@ const (
 	AlgorithmExact
 )
 
-// SolveOption configures the deprecated Solve wrapper.
-//
-// Deprecated: set the corresponding Query fields instead.
-type SolveOption func(*solveCfg)
-
-type solveCfg struct {
-	algo        Algorithm
-	parallelism int
-	clampK      bool
-}
-
-// WithParallelism sets how many worker goroutines Solve's candidate scans
-// shard across: 1 forces serial execution, k ≤ 0 (the default) uses
-// GOMAXPROCS. Selection rules are total orders, so every parallelism level
-// returns the identical solution.
-//
-// Deprecated: set Query.Parallelism (0 reuses the index's cached pool).
-func WithParallelism(k int) SolveOption {
-	return func(c *solveCfg) { c.parallelism = k }
-}
-
-// WithAlgorithm selects which solver Solve runs (default AlgorithmGreedy).
-//
-// Deprecated: set Query.Algorithm.
-func WithAlgorithm(a Algorithm) SolveOption {
-	return func(c *solveCfg) { c.algo = a }
-}
-
-// WithClampK makes Solve treat k > Len() as k = Len() instead of returning
-// an error, so every solve returns exactly min(k, n) items.
-//
-// Deprecated: set Query.ClampK.
-func WithClampK() SolveOption {
-	return func(c *solveCfg) { c.clampK = true }
-}
-
-// Solve selects up to k items with the configured algorithm.
-//
-// Deprecated: use Index.Query, which reuses the index's cached worker pool,
-// accepts a context for cancellation, and exposes λ/quality per call. Solve
-// delegates to it with context.Background().
-func (p *Problem) Solve(k int, opts ...SolveOption) (*Solution, error) {
-	cfg := solveCfg{algo: AlgorithmGreedy}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	q := Query{K: k, Algorithm: cfg.algo, ClampK: cfg.clampK}
-	// Solve's parallelism convention: 1 = serial, anything else (including
-	// the 0 default) = a GOMAXPROCS-bounded pool. Query's 0 reuses the
-	// index pool, which is exactly that unless WithDefaultParallelism
-	// narrowed it.
-	switch cfg.parallelism {
-	case 0:
-		q.Parallelism = 0
-	case 1:
-		q.Parallelism = 1
-	default:
-		q.Parallelism = cfg.parallelism
-	}
-	return p.ix.Query(context.Background(), q)
-}
-
-// Greedy runs the paper's non-oblivious greedy (Theorem 1): repeatedly add
-// the item maximizing ½f_u(S) + λ·d_u(S) until |S| = k. A 2-approximation
-// for normalized monotone submodular quality over a metric; O(n·k) marginal
-// evaluations.
-//
-// Deprecated: use Index.Query with the default algorithm.
-func (p *Problem) Greedy(k int) (*Solution, error) {
-	return p.ix.Query(context.Background(), Query{K: k, Parallelism: 1})
-}
-
-// GreedyImproved is Greedy opening with the best pair instead of the best
-// singleton (the paper's Table 3 variant; same guarantee, often slightly
-// better in practice, O(n²) once per index).
-//
-// Deprecated: use Index.Query with AlgorithmGreedyImproved.
-func (p *Problem) GreedyImproved(k int) (*Solution, error) {
-	return p.ix.Query(context.Background(), Query{K: k, Algorithm: AlgorithmGreedyImproved, Parallelism: 1})
-}
-
-// GollapudiSharma runs the paper's Greedy A baseline: the Gollapudi–Sharma
-// reduction to max-sum dispersion solved by the Hassin–Rubinstein–Tamir edge
-// greedy. Requires the default modular quality (item weights).
-//
-// Deprecated: use Index.Query with AlgorithmGollapudiSharma.
-func (p *Problem) GollapudiSharma(k int) (*Solution, error) {
-	return p.ix.Query(context.Background(), Query{K: k, Algorithm: AlgorithmGollapudiSharma, Parallelism: 1})
-}
-
-// LocalSearchOptions configures the deprecated LocalSearch wrapper.
-//
-// Deprecated: set the corresponding Query fields instead.
-type LocalSearchOptions struct {
-	// Init seeds the search (e.g. a Greedy solution's Indices). Nil starts
-	// from a basis containing the best independent pair, as in Section 5.
-	Init []int
-	// MinGain is the minimum absolute improvement per swap (0 = any).
-	MinGain float64
-	// RelEps requires each swap to improve by a (1+RelEps) factor — the
-	// paper's polynomial-time ε-improvement rule.
-	RelEps float64
-	// MaxSwaps caps applied swaps (0 = unlimited).
-	MaxSwaps int
-	// TimeBudget bounds the search wall-clock (0 = unlimited).
-	TimeBudget time.Duration
-	// Parallelism shards the swap-neighborhood scan across this many worker
-	// goroutines: 0 or 1 runs serially, negative values select GOMAXPROCS.
-	// Every setting returns the identical solution.
-	Parallelism int
-}
-
-// LocalSearch runs the paper's oblivious single-swap local search under a
-// matroid constraint (Theorem 2: a 2-approximation at the local optimum).
-// Build constraints with Cardinality, PartitionConstraint,
-// TransversalConstraint, or any custom Constraint.
-//
-// Deprecated: use Index.Query with AlgorithmLocalSearch and
-// Query.Constraint.
-func (p *Problem) LocalSearch(c Constraint, opts *LocalSearchOptions) (*Solution, error) {
-	if c == nil {
-		return nil, ErrNilConstraint
-	}
-	q := Query{Algorithm: AlgorithmLocalSearch, Constraint: c, Parallelism: 1}
-	if opts != nil {
-		q.Init = opts.Init
-		q.MinGain = opts.MinGain
-		q.RelEps = opts.RelEps
-		q.MaxSwaps = opts.MaxSwaps
-		q.TimeBudget = opts.TimeBudget
-		if opts.Parallelism != 0 && opts.Parallelism != 1 {
-			q.Parallelism = opts.Parallelism
-		}
-	}
-	return p.ix.Query(context.Background(), q)
-}
-
 // GreedyMatroid runs the Section 4 greedy under a matroid constraint. The
 // paper's Appendix shows its ratio is unbounded in general — use it as a
-// fast heuristic or LocalSearch initializer, not for guarantees.
-func (p *Problem) GreedyMatroid(c Constraint) (*Solution, error) {
-	if c == nil {
-		return nil, ErrNilConstraint
+// fast heuristic or as Query.Init for AlgorithmLocalSearch, not for
+// guarantees.
+func (ix *Index) GreedyMatroid(c Constraint) (*Solution, error) {
+	if err := ix.checkConstraint(c); err != nil {
+		return nil, err
 	}
-	sol, err := core.GreedyMatroid(p.ix.defaultObj, adaptConstraint(c))
+	sol, err := core.GreedyMatroid(ix.defaultObj, adaptConstraint(c))
 	if err != nil {
 		return nil, err
 	}
-	return p.ix.wrap(sol), nil
+	return ix.wrap(sol), nil
 }
 
-// Exact computes the optimal size-k subset by parallel branch-and-bound
-// enumeration. Exponential: intended for small instances (n ≤ ~60 with
-// small k) and for measuring observed approximation factors.
+// Knapsack approximately maximizes φ(S) under a budget constraint
+// Σ cost(u) ≤ budget using partial-enumeration greedy (seedSize restarts of
+// the Theorem 1 potential greedy from every feasible seed of that size,
+// under both raw-potential and potential-per-cost rules).
 //
-// Deprecated: use Index.Query with AlgorithmExact and a context deadline.
-func (p *Problem) Exact(k int) (*Solution, error) {
-	return p.ix.Query(context.Background(), Query{K: k, Algorithm: AlgorithmExact})
-}
-
-// ExactMatroid computes an optimal basis of the constraint by exhaustive
-// enumeration of independent sets. Exponential; small instances only.
-//
-// Deprecated: use Index.Query with AlgorithmExact and Query.Constraint.
-func (p *Problem) ExactMatroid(c Constraint) (*Solution, error) {
-	if c == nil {
-		return nil, ErrNilConstraint
+// The paper's conclusion leaves the knapsack-constrained diversification
+// guarantee open; this is the Sviridenko-style heuristic it suggests, with
+// no ratio claimed. With uniform costs it never does worse than the greedy.
+func (ix *Index) Knapsack(costs []float64, budget float64, seedSize int) (*Solution, error) {
+	sol, err := core.GreedyKnapsack(ix.defaultObj, costs, budget, &core.KnapsackOptions{SeedSize: seedSize})
+	if err != nil {
+		return nil, err
 	}
-	return p.ix.Query(context.Background(), Query{Algorithm: AlgorithmExact, Constraint: c})
-}
-
-// MMR runs Maximal Marginal Relevance (Carbonell–Goldstein) as a baseline;
-// see Index.MMR.
-func (p *Problem) MMR(lambda float64, k int) (*Solution, error) {
-	return p.ix.MMR(lambda, k)
+	return ix.wrap(sol), nil
 }
 
 // MMR runs Maximal Marginal Relevance (Carbonell–Goldstein) as a baseline:
@@ -288,26 +139,3 @@ func adaptConstraint(c Constraint) matroid.Matroid {
 }
 
 type constraintAdapter struct{ Constraint }
-
-// Cardinality returns the constraint |S| ≤ k (the uniform matroid).
-func (p *Problem) Cardinality(k int) (Constraint, error) {
-	return p.ix.Cardinality(k)
-}
-
-// PartitionConstraint returns a partition matroid; see
-// Index.PartitionConstraint.
-func (p *Problem) PartitionConstraint(partOf []int, caps []int) (Constraint, error) {
-	return p.ix.PartitionConstraint(partOf, caps)
-}
-
-// TransversalConstraint returns a transversal matroid; see
-// Index.TransversalConstraint.
-func (p *Problem) TransversalConstraint(sets [][]int) (Constraint, error) {
-	return p.ix.TransversalConstraint(sets)
-}
-
-// TruncatedConstraint caps any constraint at cardinality k; see
-// Index.TruncatedConstraint.
-func (p *Problem) TruncatedConstraint(c Constraint, k int) (Constraint, error) {
-	return p.ix.TruncatedConstraint(c, k)
-}

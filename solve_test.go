@@ -1,7 +1,7 @@
-//lint:file-ignore SA1019 these tests deliberately exercise the deprecated Problem compatibility wrappers alongside the Index/Query API
 package maxsumdiv_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,20 +33,19 @@ func TestSolveParallelDeterminism(t *testing.T) {
 		maxsumdiv.AlgorithmOblivious,
 		maxsumdiv.AlgorithmLocalSearch,
 	}
+	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
-		problem, err := maxsumdiv.NewProblem(randomItems(450, seed), maxsumdiv.WithLambda(0.4))
+		ix, err := maxsumdiv.NewIndex(randomItems(450, seed), maxsumdiv.WithLambda(0.4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, algo := range algos {
-			serial, err := problem.Solve(12,
-				maxsumdiv.WithAlgorithm(algo), maxsumdiv.WithParallelism(1))
+			serial, err := ix.Query(ctx, maxsumdiv.Query{K: 12, Algorithm: algo, Parallelism: 1})
 			if err != nil {
 				t.Fatalf("algo %d serial: %v", algo, err)
 			}
 			for _, k := range []int{2, 8} {
-				par, err := problem.Solve(12,
-					maxsumdiv.WithAlgorithm(algo), maxsumdiv.WithParallelism(k))
+				par, err := ix.Query(ctx, maxsumdiv.Query{K: 12, Algorithm: algo, Parallelism: k})
 				if err != nil {
 					t.Fatalf("algo %d parallelism %d: %v", algo, k, err)
 				}
@@ -63,33 +62,35 @@ func TestSolveParallelDeterminism(t *testing.T) {
 }
 
 func TestSolveDefaultsMatchGreedy(t *testing.T) {
-	problem, err := maxsumdiv.NewProblem(randomItems(200, 7), maxsumdiv.WithLambda(0.4))
+	ix, err := maxsumdiv.NewIndex(randomItems(200, 7), maxsumdiv.WithLambda(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSolve, err := problem.Solve(10)
+	ctx := context.Background()
+	viaDefault, err := ix.Query(ctx, maxsumdiv.Query{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaGreedy, err := problem.Greedy(10)
+	viaGreedy, err := ix.Query(ctx, maxsumdiv.Query{K: 10, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaSolve.Indices, viaGreedy.Indices) || viaSolve.Value != viaGreedy.Value {
-		t.Fatalf("Solve default %+v, Greedy %+v", viaSolve, viaGreedy)
+	if !reflect.DeepEqual(viaDefault.Indices, viaGreedy.Indices) || viaDefault.Value != viaGreedy.Value {
+		t.Fatalf("default query %+v, serial greedy %+v", viaDefault, viaGreedy)
 	}
 }
 
 func TestSolveLocalSearchImproves(t *testing.T) {
-	problem, err := maxsumdiv.NewProblem(randomItems(150, 9), maxsumdiv.WithLambda(0.4))
+	ix, err := maxsumdiv.NewIndex(randomItems(150, 9), maxsumdiv.WithLambda(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := problem.Solve(8)
+	ctx := context.Background()
+	greedy, err := ix.Query(ctx, maxsumdiv.Query{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := problem.Solve(8, maxsumdiv.WithAlgorithm(maxsumdiv.AlgorithmLocalSearch))
+	ls, err := ix.Query(ctx, maxsumdiv.Query{K: 8, Algorithm: maxsumdiv.AlgorithmLocalSearch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestSolveLocalSearchImproves(t *testing.T) {
 }
 
 func TestSolveRejectsUnknownAlgorithm(t *testing.T) {
-	problem, err := maxsumdiv.NewProblem(randomItems(10, 3))
+	ix, err := maxsumdiv.NewIndex(randomItems(10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := problem.Solve(2, maxsumdiv.WithAlgorithm(maxsumdiv.Algorithm(99))); err == nil {
+	if _, err := ix.Query(context.Background(), maxsumdiv.Query{K: 2, Algorithm: maxsumdiv.Algorithm(99)}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -112,19 +113,20 @@ func TestSolveRejectsUnknownAlgorithm(t *testing.T) {
 // the same solutions as the default dense materialization.
 func TestLazyDistancesTransparent(t *testing.T) {
 	items := randomItems(300, 5)
-	dense, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.3))
+	dense, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.3), maxsumdiv.WithLazyDistances())
+	lazy, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.3), maxsumdiv.WithLazyDistances())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dense.Solve(10)
+	ctx := context.Background()
+	want, err := dense.Query(ctx, maxsumdiv.Query{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := lazy.Solve(10, maxsumdiv.WithParallelism(4))
+	got, err := lazy.Query(ctx, maxsumdiv.Query{K: 10, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,26 +140,26 @@ func TestLazyDistancesTransparent(t *testing.T) {
 // maintained solutions throughout.
 func TestDynamicParallelDeterminism(t *testing.T) {
 	items := randomItems(420, 11)
-	problem, err := maxsumdiv.NewProblem(items, maxsumdiv.WithLambda(0.4))
+	ix, err := maxsumdiv.NewIndex(items, maxsumdiv.WithLambda(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	init, err := problem.Greedy(9)
+	init, err := ix.Query(context.Background(), maxsumdiv.Query{K: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := problem.NewDynamic(init.Indices)
+	serial, err := ix.NewDynamic(init.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := problem.NewDynamic(init.Indices)
+	parallel, err := ix.NewDynamic(init.Indices)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel.SetParallelism(8)
 	rng := rand.New(rand.NewSource(2))
 	for step := 0; step < 30; step++ {
-		u := rng.Intn(problem.Len())
+		u := rng.Intn(ix.Len())
 		w := rng.Float64() * 2
 		p1, err := serial.UpdateWeight(u, w)
 		if err != nil {

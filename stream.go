@@ -4,26 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"maxsumdiv/internal/core"
 	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/stream"
 )
-
-// Knapsack approximately maximizes φ(S) under a budget constraint
-// Σ cost(u) ≤ budget using partial-enumeration greedy (seedSize restarts of
-// the Theorem 1 potential greedy from every feasible seed of that size,
-// under both raw-potential and potential-per-cost rules).
-//
-// The paper's conclusion leaves the knapsack-constrained diversification
-// guarantee open; this is the Sviridenko-style heuristic it suggests, with
-// no ratio claimed. With uniform costs it never does worse than Greedy.
-func (p *Problem) Knapsack(costs []float64, budget float64, seedSize int) (*Solution, error) {
-	sol, err := core.GreedyKnapsack(p.ix.defaultObj, costs, budget, &core.KnapsackOptions{SeedSize: seedSize})
-	if err != nil {
-		return nil, err
-	}
-	return p.ix.wrap(sol), nil
-}
 
 // Stream maintains a diverse, high-quality window of size p over an
 // unbounded item stream (the incremental setting of the paper's Section 2
@@ -78,7 +61,7 @@ type streamCfg struct {
 
 // WithStreamParallelism shards each offer's eviction scan across k worker
 // goroutines — the same scan engine the offline solvers use. As with
-// WithParallelism, k ≤ 0 selects GOMAXPROCS and k = 1 forces serial;
+// WithDefaultParallelism, k ≤ 0 selects GOMAXPROCS and k = 1 forces serial;
 // omitting the option entirely also stays serial. Only worthwhile for
 // large windows; decisions are identical at every setting.
 func WithStreamParallelism(k int) StreamOption {

@@ -10,7 +10,7 @@ import (
 func TestPublicKnapsack(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items, m := matrixItems(10, rng)
-	p, err := NewProblem(items, WithDistanceMatrix(m), WithLambda(0.3))
+	ix, err := NewIndex(items, WithDistanceMatrix(m), WithLambda(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestPublicKnapsack(t *testing.T) {
 	for i := range costs {
 		costs[i] = 0.5 + rng.Float64()
 	}
-	sol, err := p.Knapsack(costs, 2.5, 1)
+	sol, err := ix.Knapsack(costs, 2.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,10 @@ func TestPublicKnapsack(t *testing.T) {
 	if used > 2.5+1e-9 {
 		t.Fatalf("budget exceeded: %g", used)
 	}
-	if math.Abs(sol.Value-p.Objective(sol.Indices)) > 1e-9 {
+	if math.Abs(sol.Value-ix.Objective(sol.Indices)) > 1e-9 {
 		t.Error("reported value inconsistent")
 	}
-	if _, err := p.Knapsack(costs[:3], 1, 1); err == nil {
+	if _, err := ix.Knapsack(costs[:3], 1, 1); err == nil {
 		t.Error("short costs accepted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,14 +115,29 @@ func TestNewVectorIndexBasics(t *testing.T) {
 // cosine-only and exclusive with the materialized/lazy backends.
 func TestVectorBackendConflicts(t *testing.T) {
 	items := backendItems(10, 3, 7)
-	for name, opts := range map[string][]maxsumdiv.Option{
-		"float32":   {maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithFloat32()},
-		"lazy":      {maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithLazyDistances()},
-		"euclidean": {maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithEuclideanDistance()},
-		"matrix":    {maxsumdiv.WithVectorBackendInt8(), maxsumdiv.WithDistanceMatrix([][]float64{{0}})},
+	// conflict is what the message must name; a message naming an option
+	// the caller did not pass misleads.
+	for name, tc := range map[string]struct {
+		opts     []maxsumdiv.Option
+		conflict string
+	}{
+		"float32":   {[]maxsumdiv.Option{maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithFloat32()}, "WithFloat32"},
+		"lazy":      {[]maxsumdiv.Option{maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithLazyDistances()}, "WithLazyDistances"},
+		"euclidean": {[]maxsumdiv.Option{maxsumdiv.WithVectorBackendF32(), maxsumdiv.WithEuclideanDistance()}, "cosine distance only"},
+		"matrix":    {[]maxsumdiv.Option{maxsumdiv.WithVectorBackendInt8(), maxsumdiv.WithDistanceMatrix([][]float64{{0}})}, "cosine distance only"},
 	} {
-		if _, err := maxsumdiv.NewIndex(items, opts...); !errors.Is(err, maxsumdiv.ErrBackendConflict) {
+		_, err := maxsumdiv.NewIndex(items, tc.opts...)
+		if !errors.Is(err, maxsumdiv.ErrBackendConflict) {
 			t.Fatalf("%s: err = %v, want ErrBackendConflict", name, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, tc.conflict) {
+			t.Errorf("%s: %q does not name the conflict %q", name, msg, tc.conflict)
+		}
+		for _, other := range []string{"WithFloat32", "WithLazyDistances"} {
+			if other != tc.conflict && strings.Contains(msg, other) {
+				t.Errorf("%s: %q names %s, which the caller did not pass", name, msg, other)
+			}
 		}
 	}
 	noVec := []maxsumdiv.Item{{ID: "a", Weight: 1}, {ID: "b", Weight: 2}}
