@@ -3,9 +3,7 @@ package maxsumdiv
 import (
 	"fmt"
 
-	"maxsumdiv/internal/dataset"
 	"maxsumdiv/internal/dynamic"
-	"maxsumdiv/internal/metric"
 )
 
 // Dynamic maintains a diversified selection while item weights and pairwise
@@ -14,8 +12,15 @@ import (
 // 3-approximation with one update (weight/distance increases, distance
 // decreases) or the Theorem 4 number of updates (weight decreases).
 //
-// Dynamic requires the default modular quality. It owns a private copy of
-// the index's data; mutations go through UpdateWeight / UpdateDistance.
+// Dynamic requires the default modular quality. It copies the item weights
+// and reads the index's distances in place, so starting one costs O(n + n·p)
+// whatever the backend. The first UpdateDistance, Insert or Delete copies
+// the distances into a private dense matrix (O(n²) time and memory, once);
+// the index itself never changes. A weight update costs O(p) (O(n·p) for
+// the first one after a swap), and its maintenance rescans only the swaps
+// it touched: O(n) when the item is selected, O(p) when it is not. Any
+// other perturbation, and any swap, makes the next update scan all O(n·p)
+// pairs.
 type Dynamic struct {
 	sess *dynamic.Session
 	// ids tracks item identifiers by session index; Insert appends and
@@ -32,17 +37,15 @@ type Perturbation = dynamic.Perturbation
 
 // NewDynamic starts a dynamic session over the index's items with the given
 // initial selection (typically a greedy query's Indices, a
-// 2-approximation). The session owns a private copy of the data; the index
-// itself stays immutable.
+// 2-approximation). The session copies the weights and reads the index's
+// distances, building no distance backend; it copies them on its first
+// distance or ground-set mutation. The index itself stays immutable, and
+// queries may run on it concurrently with the session.
 func (ix *Index) NewDynamic(initial []int) (*Dynamic, error) {
 	if ix.modular == nil {
 		return nil, fmt.Errorf("%w: Dynamic needs item weights", ErrNeedsModularQuality)
 	}
-	inst := &dataset.Instance{
-		Weights: ix.modular.Weights(),
-		Dist:    metric.Materialize(ix.dist),
-	}
-	sess, err := dynamic.NewSession(inst, ix.lambda, initial)
+	sess, err := dynamic.NewSession(ix.modular.Weights(), ix.dist, ix.lambda, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -53,9 +56,10 @@ func (ix *Index) NewDynamic(initial []int) (*Dynamic, error) {
 	return &Dynamic{sess: sess, ids: ids, prevValue: sess.Value()}, nil
 }
 
-// SetParallelism shards the oblivious-update swap scan across k worker
-// goroutines (k ≤ 0 selects GOMAXPROCS, 1 restores the serial scan). The
-// maintained solution is identical at every setting.
+// SetParallelism shards the oblivious update's full O(n·p) swap scan
+// across k worker goroutines (k ≤ 0 selects GOMAXPROCS, 1 restores the
+// serial scan). The rescans after a weight update, O(n) at most, stay
+// serial. The maintained solution is identical at every setting.
 func (d *Dynamic) SetParallelism(k int) { d.sess.SetParallelism(k) }
 
 // Selection returns the current item indices.
@@ -115,16 +119,24 @@ func (d *Dynamic) Value() float64 { return d.sess.Value() }
 // UpdateWeight changes item u's weight and returns the perturbation record
 // to pass to Maintain.
 func (d *Dynamic) UpdateWeight(u int, w float64) (Perturbation, error) {
-	d.prevValue = d.sess.Value()
-	return d.sess.SetWeight(u, w)
+	prev := d.sess.Value()
+	pert, err := d.sess.SetWeight(u, w)
+	if err == nil {
+		d.prevValue = prev
+	}
+	return pert, err
 }
 
 // UpdateDistance changes the distance between items u and v. The Section 6
 // guarantees assume the perturbed distances remain a metric; the caller owns
 // that invariant.
 func (d *Dynamic) UpdateDistance(u, v int, dist float64) (Perturbation, error) {
-	d.prevValue = d.sess.Value()
-	return d.sess.SetDistance(u, v, dist)
+	prev := d.sess.Value()
+	pert, err := d.sess.SetDistance(u, v, dist)
+	if err == nil {
+		d.prevValue = prev
+	}
+	return pert, err
 }
 
 // Update applies one step of the oblivious update rule: the best single
@@ -135,6 +147,9 @@ func (d *Dynamic) Update() (swapped bool, gain float64) {
 
 // Maintain applies the number of oblivious updates the paper's theorems
 // prescribe for the perturbation and returns how many swaps were applied.
+// A Type II perturbation outside Theorem 4's regime (δ ≥ φ(S)) returns an
+// error; the new weight is already applied, so restore the selection by
+// calling Update until it reports no swap.
 func (d *Dynamic) Maintain(pert Perturbation) (int, error) {
 	return d.sess.Maintain(pert, d.prevValue)
 }

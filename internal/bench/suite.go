@@ -429,7 +429,8 @@ func localSearchSpec(name string, quick bool, n, k int, be backend) Spec {
 func dynamicChurnSpec(name string, quick bool, n, p int) Spec {
 	return benchSpec(name, quick, func(b *testing.B) error {
 		rng := rand.New(rand.NewSource(77))
-		sess, err := dynamic.NewSession(dataset.Synthetic(n, rng), 0.2, nil)
+		inst := dataset.Synthetic(n, rng)
+		sess, err := dynamic.NewSession(inst.Weights, inst.Dist, 0.2, nil)
 		if err != nil {
 			return err
 		}
@@ -462,7 +463,8 @@ func dynamicChurnSpec(name string, quick bool, n, p int) Spec {
 func dynamicWeightSpec(name string, quick bool, n, p int) Spec {
 	return benchSpec(name, quick, func(b *testing.B) error {
 		rng := rand.New(rand.NewSource(78))
-		sess, err := dynamic.NewSession(dataset.Synthetic(n, rng), 0.2, nil)
+		inst := dataset.Synthetic(n, rng)
+		sess, err := dynamic.NewSession(inst.Weights, inst.Dist, 0.2, nil)
 		if err != nil {
 			return err
 		}

@@ -662,6 +662,86 @@ func TestSwapScanSessionMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSwapScanTouchingMatchesBestSwap pins State.BestSwapTouching to the
+// full BestSwap under its precondition: from a swap-stable state (no pair
+// above the threshold), one item's weight changes, and the restricted scan
+// must return the full scan's pair, gain bits included. Points on a small
+// integer grid repeat directions, so cosine distances repeat and, with
+// tied weights, both branches meet exact ties among their best pairs.
+func TestSwapScanTouchingMatchesBestSwap(t *testing.T) {
+	const n, p, threshold = 40, 6, 1e-15
+	rng := rand.New(rand.NewSource(147))
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		vecs[i] = []float64{float64(rng.Intn(3)), float64(rng.Intn(3)), 1}
+	}
+	cos, err := metric.NewCosine(vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := metric.NewVecStoreFromVectors(metric.KindVecF32, vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []kernelBackend{
+		{"func", metric.Func{N: n, F: cos.Distance}},
+		{"dense", metric.Materialize(cos)},
+		{"dense-f32", metric.MaterializeF32(cos)},
+		{"vec-f32", vs},
+	}
+	ties := map[bool]int{} // by whether the touched item is a member
+	for _, be := range backends {
+		for _, lambda := range []float64{0, 0.25, 1} {
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = float64(rng.Intn(3)) / 4
+			}
+			obj := modularOn(t, w, lambda, be.d)
+			mod := obj.F().(*setfunc.Modular)
+			st := obj.NewState()
+			st.SetTo(rng.Perm(n)[:p])
+			for {
+				out, in, _, ok := st.BestSwap(nil, threshold, nil)
+				if !ok {
+					break
+				}
+				st.Swap(out, in)
+			}
+			for u := 0; u < n; u++ {
+				old := mod.Weight(u)
+				for _, nw := range []float64{0, 0.25, 1, 4} {
+					mod.SetWeight(u, nw)
+					st.ReloadQuality()
+					wOut, wIn, wGain, wOK := st.BestSwap(nil, threshold, nil)
+					out, in, gain, ok := st.BestSwapTouching(u, threshold)
+					if ok != wOK || out != wOut || in != wIn || gain != wGain {
+						t.Fatalf("%s λ=%g w[%d]=%g: touching scan (%d→%d, %v, %v), full scan (%d→%d, %v, %v)",
+							be.name, lambda, u, nw, out, in, gain, ok, wOut, wIn, wGain, wOK)
+					}
+					if ok {
+						best := 0
+						for _, m := range st.Members() {
+							for v := 0; v < n; v++ {
+								if !st.Contains(v) && (m == u || v == u) && st.SwapGain(m, v) == gain {
+									best++
+								}
+							}
+						}
+						if best > 1 {
+							ties[st.Contains(u)]++
+						}
+					}
+				}
+				mod.SetWeight(u, old)
+				st.ReloadQuality()
+			}
+		}
+	}
+	if ties[true] == 0 || ties[false] == 0 {
+		t.Fatalf("no tie among the best pairs: %d with a member touched, %d with a non-member", ties[true], ties[false])
+	}
+}
+
 func sorted(s []int) []int {
 	sort.Ints(s)
 	return s

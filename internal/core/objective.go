@@ -394,14 +394,23 @@ func (s *State) Reset() {
 // membership, d_u(S) and d(S) are copied, and the quality evaluator replays
 // src's members in order, so both accumulate f(S) the same way.
 func (s *State) loadFrom(src *State) {
-	s.f.Reset()
-	for _, u := range src.members {
-		s.f.Add(u)
-	}
 	copy(s.in, src.in)
 	copy(s.du, src.du)
 	s.members = append(s.members[:0], src.members...)
 	s.sumD = src.sumD
+	s.ReloadQuality()
+}
+
+// ReloadQuality recomputes f(S) after the quality function changed under a
+// fixed S (a dynamic weight update): the evaluator replays the members in
+// order, the sequence SetTo feeds it, so f(S) carries SetTo's bits. The
+// distance bookkeeping is not touched; it equals SetTo's as long as the
+// state has taken no Remove since its last SetTo or Reset.
+func (s *State) ReloadQuality() {
+	s.f.Reset()
+	for _, u := range s.members {
+		s.f.Add(u)
+	}
 }
 
 // SetTo resets the state and loads the given subset.

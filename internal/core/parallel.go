@@ -259,6 +259,37 @@ func (s *State) BestSwap(pool *engine.Pool, threshold float64, canSwap func(out,
 	return b.Aux, b.Index, b.Value, true
 }
 
+// BestSwapTouching is BestSwap over only the pairs with u on one side. It
+// is for a caller that knows no other pair can score above threshold: every
+// pair scored at most threshold at the last full scan, and since then only
+// u's quality has changed, so the other pairs' scores are the same bits. A
+// member u is the outgoing side against every non-member in ascending
+// order, one staged row and O(n) pairs; a non-member u is the incoming side
+// against the members in order, O(p) pairs. Scores, threshold and ties are
+// BestSwap's (lowest incoming index, then earliest member), so under that
+// precondition both return the same pair.
+func (s *State) BestSwapTouching(u int, threshold float64) (out, in int, gain float64, ok bool) {
+	if s.in[u] {
+		b := newScanner(s, nil).bestSwap([]int{u}, threshold, nil)
+		if b.Index == -1 {
+			return 0, 0, 0, false
+		}
+		return b.Aux, b.Index, b.Value, true
+	}
+	out, gain = -1, threshold
+	for _, m := range s.members {
+		// swapGainWith reads d(u, m) as Distance(u, m): the value the
+		// staged row of m holds at u, on every backend.
+		if g := s.swapGainWith(s.f, m, u); g > gain {
+			out, gain = m, g
+		}
+	}
+	if out == -1 {
+		return 0, 0, 0, false
+	}
+	return out, u, gain, true
+}
+
 // bestFeasibleAddition returns the non-member u maximizing the greedy
 // potential among those with S + u independent (the GreedyMatroid step).
 // The independence oracle is only consulted for candidates that would beat

@@ -45,13 +45,6 @@ func Synthetic(n int, rng *rand.Rand) *Instance {
 // N returns the instance size.
 func (in *Instance) N() int { return len(in.Weights) }
 
-// Clone deep-copies the instance (dynamic simulations perturb copies).
-func (in *Instance) Clone() *Instance {
-	w := make([]float64, len(in.Weights))
-	copy(w, in.Weights)
-	return &Instance{Weights: w, Dist: in.Dist.Clone()}
-}
-
 // Objective builds the max-sum diversification objective f(S) + λ·d(S) with
 // modular f over this instance. The returned objective shares the instance's
 // distance matrix (but copies weights into the Modular), so metric

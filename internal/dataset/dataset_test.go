@@ -51,16 +51,6 @@ func TestSyntheticDeterminism(t *testing.T) {
 	}
 }
 
-func TestInstanceCloneIsDeep(t *testing.T) {
-	inst := Synthetic(5, rand.New(rand.NewSource(2)))
-	cp := inst.Clone()
-	cp.Weights[0] = 99
-	cp.Dist.SetDistance(0, 1, 42)
-	if inst.Weights[0] == 99 || inst.Dist.Distance(0, 1) == 42 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestInstanceObjective(t *testing.T) {
 	inst := Synthetic(10, rand.New(rand.NewSource(3)))
 	obj, err := inst.Objective(0.2)

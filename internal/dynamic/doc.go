@@ -12,7 +12,14 @@
 // For p ≤ 3 a single update always suffices (Corollary 3). The package also
 // provides the Figure 1 simulator (random V/E/M perturbation environments).
 //
+// A Session copies the weights and reads the distances it is given; its
+// first distance perturbation or ground-set mutation copies them into a
+// private metric.Dense, so the caller's metric is never written. A weight
+// perturbation refreshes f(S) in O(p), or the whole state after a swap.
 // The oblivious update's O(n·p) swap scan is the hot path of a dynamic
 // deployment; Session.SetParallelism shards it across the worker pool of
 // maxsumdiv/internal/engine with results identical to the serial scan.
+// After a scan finds no improving swap, a run of weight changes to one
+// item rescans only the swaps that item is part of
+// (core.State.BestSwapTouching), and returns the pair the full scan would.
 package dynamic

@@ -3,10 +3,11 @@ package dynamic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"maxsumdiv/internal/core"
-	"maxsumdiv/internal/dataset"
 	"maxsumdiv/internal/engine"
+	"maxsumdiv/internal/metric"
 	"maxsumdiv/internal/setfunc"
 )
 
@@ -54,11 +55,16 @@ type Perturbation struct {
 // Delta returns |New − Old|, the paper's δ.
 func (p Perturbation) Delta() float64 { return math.Abs(p.New - p.Old) }
 
-// Session maintains a solution to a dynamically changing instance. The
-// session owns its instance copy: perturbations go through the Session so
-// the incremental solution state stays consistent with the data.
+// Session maintains a solution to a dynamically changing instance. It
+// reads the distances it was given and never writes them: the first
+// distance perturbation or ground-set mutation copies them into a private
+// Dense, which that mutation and every later one edit. Perturbations go
+// through the Session so the incremental solution state stays consistent
+// with the data.
 type Session struct {
-	inst   *dataset.Instance
+	w      []float64     // item weights: the session's own copy
+	d      metric.Metric // the distances the objective reads
+	dense  *metric.Dense // d once the session owns it; nil while d is the caller's
 	mod    *setfunc.Modular
 	lambda float64
 	obj    *core.Objective
@@ -70,17 +76,33 @@ type Session struct {
 	// intended membership while stale. See fully.go.
 	stale   bool
 	pending []int
+	// removed records that st has taken a Remove (a swap, a SetTarget
+	// shrink) since it was last loaded, so its d_u(S) may differ in the last
+	// bits from a fresh load's; a weight refresh then reloads in full.
+	removed bool
+	// stable records that the last swap scan found no pair above
+	// swapThreshold, and touched is the one item whose weight has changed
+	// since (-1: none). See ObliviousUpdate.
+	stable  bool
+	touched int
 }
 
-// NewSession starts from an instance (deep-copied), a trade-off λ, and an
-// initial solution (the paper starts from a greedy 2-approximation).
-func NewSession(inst *dataset.Instance, lambda float64, initial []int) (*Session, error) {
-	cp := inst.Clone()
-	mod, err := setfunc.NewModular(cp.Weights)
+// swapThreshold is the smallest swap gain the oblivious update applies:
+// gains within 1e-15 of zero are floating-point churn, not improvements.
+const swapThreshold = 1e-15
+
+// NewSession starts from the item weights (copied), the distances between
+// the items, a trade-off λ, and an initial solution (the paper starts from
+// a greedy 2-approximation). The session reads d until its first distance
+// or ground-set mutation and never writes it; d must not change while the
+// session reads it.
+func NewSession(weights []float64, d metric.Metric, lambda float64, initial []int) (*Session, error) {
+	w := slices.Clone(weights)
+	mod, err := setfunc.NewModular(w)
 	if err != nil {
 		return nil, err
 	}
-	obj, err := core.NewObjective(mod, lambda, cp.Dist)
+	obj, err := core.NewObjective(mod, lambda, d)
 	if err != nil {
 		return nil, err
 	}
@@ -96,13 +118,13 @@ func NewSession(inst *dataset.Instance, lambda float64, initial []int) (*Session
 	}
 	st := obj.NewState()
 	st.SetTo(initial)
-	return &Session{inst: cp, mod: mod, lambda: lambda, obj: obj, st: st, p: len(initial)}, nil
+	return &Session{w: w, d: d, mod: mod, lambda: lambda, obj: obj, st: st, p: len(initial), touched: -1}, nil
 }
 
-// SetParallelism shards the oblivious-update swap scan across k worker
-// goroutines (k ≤ 0 selects GOMAXPROCS, 1 restores the serial scan). The
-// scan's selection rule is a total order, so the maintained solution is
-// identical for every k.
+// SetParallelism shards the oblivious update's full swap scan across k
+// worker goroutines (k ≤ 0 selects GOMAXPROCS, 1 restores the serial scan);
+// the restricted rescans stay serial. The scan's selection rule is a total
+// order, so the maintained solution is identical for every k.
 func (s *Session) SetParallelism(k int) {
 	if k == 1 {
 		s.pool = nil
@@ -135,6 +157,9 @@ func (s *Session) Value() float64 {
 }
 
 // SetWeight applies a weight perturbation (Type I/II) and returns its record.
+// It re-sums f(S) over the p members, unless the selection has swapped or
+// shrunk since the state was last loaded; then it reloads the whole state,
+// O(n·p), to keep a fresh load's bits.
 func (s *Session) SetWeight(u int, w float64) (Perturbation, error) {
 	s.ensureFresh()
 	if u < 0 || u >= s.obj.N() {
@@ -145,8 +170,18 @@ func (s *Session) SetWeight(u int, w float64) (Perturbation, error) {
 	}
 	old := s.mod.Weight(u)
 	s.mod.SetWeight(u, w)
-	s.inst.Weights[u] = w
-	s.refresh()
+	s.w[u] = w
+	if s.removed {
+		s.refresh()
+	} else {
+		// d_u(S) holds a fresh load's bits already; only f(S) moved.
+		s.st.ReloadQuality()
+		if s.touched == -1 {
+			s.touched = u
+		} else if s.touched != u {
+			s.stable = false // two items changed: rescan every pair
+		}
+	}
 	kind := NoChange
 	switch {
 	case w > old:
@@ -169,9 +204,13 @@ func (s *Session) SetDistance(u, v int, d float64) (Perturbation, error) {
 	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		return Perturbation{}, fmt.Errorf("dynamic: SetDistance: distance %g invalid", d)
 	}
-	old := s.inst.Dist.Distance(u, v)
-	s.inst.Dist.SetDistance(u, v, d)
-	s.refresh()
+	old := s.d.Distance(u, v)
+	s.own().SetDistance(u, v, d)
+	if s.stale {
+		s.ensureFresh() // the first write: rebuild over the private copy
+	} else {
+		s.refresh()
+	}
 	kind := NoChange
 	switch {
 	case d > old:
@@ -182,10 +221,27 @@ func (s *Session) SetDistance(u, v int, d float64) (Perturbation, error) {
 	return Perturbation{Kind: kind, U: u, V: v, Old: old, New: d}, nil
 }
 
-// refresh rebuilds the incremental state after the underlying data moved
+// own returns the session's private distances, copying the caller's on
+// first use (Clone for a Dense, Materialize otherwise) and marking the
+// derived state for rebuild over the copy.
+func (s *Session) own() *metric.Dense {
+	if s.dense == nil {
+		if d, ok := s.d.(*metric.Dense); ok {
+			s.dense = d.Clone()
+		} else {
+			s.dense = metric.Materialize(s.d)
+		}
+		s.d = s.dense
+		s.markStale()
+	}
+	return s.dense
+}
+
+// refresh reloads the incremental state after the underlying data moved
 // (O(n·p); the solution set itself is unchanged).
 func (s *Session) refresh() {
 	s.st.SetTo(s.st.Members())
+	s.removed, s.stable = false, false
 }
 
 // ObliviousUpdate applies one step of the Section 6 rule: find the pair
@@ -194,15 +250,28 @@ func (s *Session) refresh() {
 //
 // The O(n·p) swap scan shards across the session's pool (SetParallelism);
 // gains within 1e-15 of zero are treated as floating-point churn, not
-// improvements, matching the paper's "positive gain" precondition.
+// improvements, matching the paper's "positive gain" precondition. After a
+// scan that finds no swap, the session is stable: while only one item u
+// changes weight, only the pairs with u on one side can change gain, so the
+// next update scans just those (O(n) for a member u, O(p) otherwise), and
+// none when nothing changed. It returns the pair the full scan would.
 func (s *Session) ObliviousUpdate() (swapped bool, gain float64) {
 	s.ensureFresh()
-	out, in, bestGain, ok := s.st.BestSwap(s.pool, 1e-15, nil)
+	var out, in int
+	var ok bool
+	switch {
+	case !s.stable:
+		out, in, gain, ok = s.st.BestSwap(s.pool, swapThreshold, nil)
+	case s.touched != -1:
+		out, in, gain, ok = s.st.BestSwapTouching(s.touched, swapThreshold)
+	}
 	if !ok {
+		s.stable, s.touched = true, -1
 		return false, 0
 	}
 	s.st.Swap(out, in)
-	return true, bestGain
+	s.removed, s.stable = true, false
+	return true, gain
 }
 
 // UpdatesFor returns the number of oblivious updates the paper's theorems

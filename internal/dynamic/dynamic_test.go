@@ -21,7 +21,7 @@ func newSession(t *testing.T, n, p int, lambda float64, seed int64) (*Session, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(inst, lambda, g.Members)
+	sess, err := NewSession(inst.Weights, inst.Dist, lambda, g.Members)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +30,16 @@ func newSession(t *testing.T, n, p int, lambda float64, seed int64) (*Session, *
 
 func TestNewSessionValidation(t *testing.T) {
 	inst := dataset.Synthetic(6, rand.New(rand.NewSource(1)))
-	if _, err := NewSession(inst, 0.2, []int{9}); err == nil {
+	if _, err := NewSession(inst.Weights, inst.Dist, 0.2, []int{9}); err == nil {
 		t.Error("out-of-range initial element accepted")
 	}
-	if _, err := NewSession(inst, 0.2, []int{1, 1}); err == nil {
+	if _, err := NewSession(inst.Weights, inst.Dist, 0.2, []int{1, 1}); err == nil {
 		t.Error("duplicate initial element accepted")
 	}
-	if _, err := NewSession(inst, -1, []int{1}); err == nil {
+	if _, err := NewSession(inst.Weights, inst.Dist, -1, []int{1}); err == nil {
 		t.Error("negative lambda accepted")
 	}
-	s, err := NewSession(inst, 0.2, []int{0, 2, 4})
+	s, err := NewSession(inst.Weights, inst.Dist, 0.2, []int{0, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,35 @@ func TestNewSessionValidation(t *testing.T) {
 func TestSessionIsolatedFromCallerInstance(t *testing.T) {
 	sess, inst := newSession(t, 8, 3, 0.2, 2)
 	before := sess.Value()
-	inst.Weights[0] = 12345 // mutate the caller's copy, not the session's
-	inst.Dist.SetDistance(0, 1, 1.999)
+	inst.Weights[0] = 12345 // the session copied the weights
 	sess.refresh()
 	if math.Abs(sess.Value()-before) > 1e-12 {
-		t.Fatal("session shares storage with the caller's instance")
+		t.Fatal("session shares weight storage with the caller's instance")
+	}
+	// The session reads the caller's distances and never writes them: its
+	// distance and ground-set mutations edit a private copy.
+	want := inst.Dist.Clone()
+	if _, err := sess.SetDistance(0, 1, 1.999); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.InsertElement(0.5, synthDists(rand.New(rand.NewSource(3)), 8)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.DeleteElement(2); err != nil {
+		t.Fatal(err)
+	}
+	if sess.N() != 8 || sess.Objective().Metric().Distance(0, 1) != 1.999 {
+		t.Fatal("session mutations not applied")
+	}
+	if inst.Dist.Len() != want.Len() {
+		t.Fatalf("caller's metric has %d points, want %d", inst.Dist.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		for j := 0; j < i; j++ {
+			if inst.Dist.Distance(i, j) != want.Distance(i, j) {
+				t.Fatalf("session wrote the caller's d(%d,%d)", i, j)
+			}
+		}
 	}
 }
 
@@ -254,7 +278,7 @@ func TestSingleUpdateMaintainsThreeApproximation(t *testing.T) {
 		inst := dataset.Synthetic(n, rand.New(rand.NewSource(int64(trial)*31+1)))
 		obj, _ := inst.Objective(lambda)
 		g, _ := core.GreedyB(obj, p)
-		sess, err := NewSession(inst, lambda, g.Members)
+		sess, err := NewSession(inst.Weights, inst.Dist, lambda, g.Members)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +328,7 @@ func TestTypeIIMaintainsThreeApproximationWithPrescribedUpdates(t *testing.T) {
 		inst := dataset.Synthetic(n, rand.New(rand.NewSource(int64(trial)*41+3)))
 		obj, _ := inst.Objective(lambda)
 		g, _ := core.GreedyB(obj, p)
-		sess, err := NewSession(inst, lambda, g.Members)
+		sess, err := NewSession(inst.Weights, inst.Dist, lambda, g.Members)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,9 @@ import (
 // Mutations are cheap O(n) data edits that mark the derived solver state
 // stale; the O(n·p) state rebuild happens lazily on the next read. A batch
 // of B inserts between queries therefore costs O(B·n + n·p), not
-// O(B·n·p) — the serving layer's per-shard batching leans on this.
+// O(B·n·p) — the serving layer's per-shard batching leans on this. The
+// session's first mutation also copies the caller's distances, once
+// (Session.own).
 
 // markStale snapshots the current membership and flags the derived state
 // (modular quality, objective, incremental State) for rebuild.
@@ -40,13 +42,13 @@ func (s *Session) ensureFresh() {
 }
 
 // rebuild derives the quality function, objective and incremental State
-// from the mutated instance and loads the pending membership.
+// from the mutated weights and distances and loads the pending membership.
 func (s *Session) rebuild() {
-	mod, err := setfunc.NewModular(s.inst.Weights)
+	mod, err := setfunc.NewModular(s.w)
 	if err != nil {
 		panic(fmt.Sprintf("dynamic: rebuild: %v", err)) // validated at insert
 	}
-	obj, err := core.NewObjective(mod, s.lambda, s.inst.Dist)
+	obj, err := core.NewObjective(mod, s.lambda, s.d)
 	if err != nil {
 		panic(fmt.Sprintf("dynamic: rebuild: %v", err))
 	}
@@ -54,7 +56,7 @@ func (s *Session) rebuild() {
 	s.st = obj.NewState()
 	s.st.SetTo(s.pending)
 	s.pending = nil
-	s.stale = false
+	s.stale, s.removed, s.stable = false, false, false
 }
 
 // fill greedily extends the selection to min(p, n) by the paper's potential
@@ -65,7 +67,7 @@ func (s *Session) fill() {
 }
 
 // N returns the current ground-set size (including pending mutations).
-func (s *Session) N() int { return len(s.inst.Weights) }
+func (s *Session) N() int { return len(s.w) }
 
 // SetTarget changes the target cardinality p. Growing refills greedily;
 // shrinking evicts the member whose removal costs the least objective value
@@ -76,6 +78,7 @@ func (s *Session) SetTarget(p int) error {
 	}
 	s.ensureFresh()
 	s.p = p
+	s.stable = false
 	for s.st.Size() > p {
 		members := s.st.Members()
 		worst, worstLoss := -1, math.Inf(1)
@@ -87,6 +90,7 @@ func (s *Session) SetTarget(p int) error {
 			}
 		}
 		s.st.Remove(worst)
+		s.removed = true
 	}
 	s.fill()
 	return nil
@@ -107,11 +111,11 @@ func (s *Session) InsertElement(w float64, dists []float64) (int, error) {
 		return 0, fmt.Errorf("dynamic: InsertElement: %d distances for %d existing elements", len(dists), s.N())
 	}
 	s.markStale()
-	idx, err := s.inst.Dist.AppendRow(dists)
+	idx, err := s.own().AppendRow(dists)
 	if err != nil {
 		return 0, err
 	}
-	s.inst.Weights = append(s.inst.Weights, w)
+	s.w = append(s.w, w)
 	return idx, nil
 }
 
@@ -127,11 +131,11 @@ func (s *Session) DeleteElement(u int) (moved int, err error) {
 	}
 	s.markStale()
 	last := n - 1
-	if err := s.inst.Dist.RemoveSwap(u); err != nil {
+	if err := s.own().RemoveSwap(u); err != nil {
 		return 0, err
 	}
-	s.inst.Weights[u] = s.inst.Weights[last]
-	s.inst.Weights = s.inst.Weights[:last]
+	s.w[u] = s.w[last]
+	s.w = s.w[:last]
 	// Remap the pending membership: drop u, relabel last → u.
 	out := s.pending[:0]
 	for _, m := range s.pending {

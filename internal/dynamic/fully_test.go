@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"maxsumdiv/internal/dataset"
 	"maxsumdiv/internal/engine"
 	"maxsumdiv/internal/metric"
 )
@@ -15,8 +14,7 @@ import (
 // emptySession starts a session with no elements and target cardinality p.
 func emptySession(t *testing.T, lambda float64, p int) *Session {
 	t.Helper()
-	inst := &dataset.Instance{Weights: nil, Dist: metric.NewDense(0)}
-	s, err := NewSession(inst, lambda, nil)
+	s, err := NewSession(nil, metric.NewDense(0), lambda, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func Simulate(cfg SimConfig) (*SimResult, error) {
 		if err != nil {
 			return repOut{err: err}
 		}
-		sess, err := NewSession(inst, cfg.Lambda, g.Members)
+		sess, err := NewSession(inst.Weights, inst.Dist, cfg.Lambda, g.Members)
 		if err != nil {
 			return repOut{err: err}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"maxsumdiv/internal/dataset"
 	"maxsumdiv/internal/dynamic"
 	"maxsumdiv/internal/metric"
 )
@@ -81,8 +80,7 @@ func newShard(lambda float64, p, parallelism int, onApply func(op) error, mainta
 	if !maintain {
 		return sh, nil
 	}
-	inst := &dataset.Instance{Weights: nil, Dist: metric.NewDense(0)}
-	sess, err := dynamic.NewSession(inst, lambda, nil)
+	sess, err := dynamic.NewSession(nil, metric.NewDense(0), lambda, nil)
 	if err != nil {
 		return nil, err
 	}
